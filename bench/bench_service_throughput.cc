@@ -1,16 +1,12 @@
 // Serving-layer throughput: queries/sec through EstimationService as a
 // function of worker-thread count (1/2/4/8) and plan-cache temperature
-// (cold = every query compiles, warm = plans cached), plus the
-// single-query latency win of a warm plan cache over the uncached
+// (cold = every query is estimated, warm = answers cached), plus the
+// single-query latency win of a warm answer cache over the uncached
 // parse+join path. Each measurement is emitted as one JSON line so
 // future PRs can track the serving trajectory:
 //
 //   {"bench":"service_throughput","dataset":"xmark","mode":"warm",
 //    "threads":4,"queries":...,"seconds":...,"qps":...}
-//
-// A "service_memo" phase measures the estimate-memo rung: a warm repeat
-// whose plan was evicted (memo hit) against a repeat whose plan is still
-// cached (exact hit), with the probe-stage costs of both paths.
 //
 // A final phase sweeps the shadow-sampling rate (off / 1-in-256 default
 // / full) and emits "service_accuracy" rows with the qps cost and the
@@ -127,82 +123,16 @@ class StageScraper {
   obs::HistogramWindow wins_[obs::kStageCount + 1];
 };
 
-// The estimate-memo rung (DESIGN.md §13): what a warm repeat costs when
-// its compiled plan is gone. The baseline service keeps its plan cache,
-// so a repeat is one exact-key probe; the memo service has its plan
-// cache starved (budget 0, one shard — at most one resident plan) with
-// the memo on, so a repeat is parse + canonicalize + one memo probe
-// instead of a full recompile. The acceptance bar watches the probe
-// costs: the memo probe (timed under cache_lookup like every other
-// probe) must stay within 2x of a plan-cache probe.
-void RunMemoPhase(const bench_util::DatasetRun& run,
-                  const std::shared_ptr<const estimator::Synopsis>& syn,
-                  const std::vector<service::QueryRequest>& reqs) {
-  struct PathResult {
-    double repeat_us = 0;   ///< mean request latency of the repeat pass
-    double probe_us = 0;    ///< mean cache_lookup stage latency
-    uint64_t hits = 0;      ///< exact hits / memo hits over the pass
-  };
-  PathResult results[2];
-  for (int memo_path = 0; memo_path < 2; ++memo_path) {
-    service::ServiceOptions opt;
-    opt.threads = 1;
-    opt.trace_sample = 1;
-    opt.accuracy_sample = 0;
-    if (memo_path) {
-      opt.plan_cache_bytes = 0;
-      opt.cache_shards = 1;
-    }
-    service::EstimationService svc(opt);
-    svc.registry().Register(run.name, syn);
-    auto run_all = [&] {
-      for (const service::QueryRequest& r : reqs) {
-        (void)svc.Estimate(r.synopsis, r.xpath);
-      }
-    };
-    run_all();  // cold pass: fills the plan cache / the memo
-    obs::Histogram& probe_hist =
-        svc.obs().GetHistogram("service.stage.cache_lookup_ns");
-    obs::HistogramWindow probe_win;
-    (void)probe_win.Advance(probe_hist);
-    const service::ServiceStatsSnapshot before = svc.Stats();
-    const double secs = bench_util::TimeSeconds(run_all);
-    const service::ServiceStatsSnapshot after = svc.Stats();
-    PathResult& r = results[memo_path];
-    r.repeat_us = 1e6 * secs / static_cast<double>(reqs.size());
-    r.probe_us = probe_win.Advance(probe_hist).mean / 1e3;
-    r.hits = memo_path ? after.memo_hits - before.memo_hits
-                       : after.exact_hits - before.exact_hits;
-  }
-  const PathResult& exact = results[0];
-  const PathResult& memo = results[1];
-  std::printf(
-      "{\"bench\":\"service_memo\",\"dataset\":\"%s\",\"queries\":%zu,"
-      "\"exact_repeat_us\":%.3f,\"exact_probe_us\":%.3f,"
-      "\"exact_hits\":%llu,\"memo_repeat_us\":%.3f,\"memo_probe_us\":%.3f,"
-      "\"memo_hits\":%llu,\"probe_ratio\":%.3f,\"repeat_ratio\":%.3f}\n",
-      run.name.c_str(), reqs.size(), exact.repeat_us, exact.probe_us,
-      static_cast<unsigned long long>(exact.hits), memo.repeat_us,
-      memo.probe_us, static_cast<unsigned long long>(memo.hits),
-      exact.probe_us > 0 ? memo.probe_us / exact.probe_us : 0.0,
-      exact.repeat_us > 0 ? memo.repeat_us / exact.repeat_us : 0.0);
-  std::printf(
-      "memo rung: evicted-plan repeat %.1fus/query vs cached-plan "
-      "%.1fus/query (%llu memo hits)\n\n",
-      memo.repeat_us, exact.repeat_us,
-      static_cast<unsigned long long>(memo.hits));
-}
-
 // The query-intelligence phase (DESIGN.md §15): a long-tail alias storm
-// against a deliberately small plan cache and memo, with the analyzer
+// against a deliberately small answer cache, with the analyzer
 // on vs off. Every workload query is issued under up to three
 // spellings — itself, an axis-expanded alias (same canonical key by
 // construction), and the root-anchored semantic form (a *different*
 // canonical key that only the analyzer's rewrites reunite with the
-// family's plan). The off-arm compiles and caches the semantic
-// spellings as separate plans, inflating the working set past the
-// budget; the on-arm's hit rate and repeat qps measure what plan
-// sharing buys under cache pressure.
+// family's answer). The off-arm estimates and caches the semantic
+// spellings separately, inflating the working set; the on-arm's hit
+// rate and repeat qps measure what answer sharing buys under cache
+// pressure.
 void RunIntelPhase(const bench_util::DatasetRun& run,
                    const std::shared_ptr<const estimator::Synopsis>& syn,
                    const std::vector<service::QueryRequest>& reqs,
@@ -249,11 +179,6 @@ void RunIntelPhase(const bench_util::DatasetRun& run,
     opt.accuracy_sample = 0;
     opt.enable_analyzer = analyzer == 1;
     opt.plan_cache_bytes = 256 << 10;
-    // Memo off: its entries are a few dozen bytes, so any plausible
-    // budget would absorb both arms' canonical key sets and hide the
-    // plan-cache contrast this phase exists to measure (the memo rung
-    // has its own phase above).
-    opt.estimate_memo_bytes = 0;
     service::EstimationService svc(opt);
     svc.registry().Register(run.name, syn);
     auto run_all = [&] {
@@ -267,8 +192,7 @@ void RunIntelPhase(const bench_util::DatasetRun& run,
     const service::ServiceStatsSnapshot after = svc.Stats();
     const uint64_t requests = after.requests - before.requests;
     const uint64_t hits = (after.exact_hits - before.exact_hits) +
-                          (after.canonical_hits - before.canonical_hits) +
-                          (after.memo_hits - before.memo_hits);
+                          (after.canonical_hits - before.canonical_hits);
     ArmResult& arm = arms[analyzer];
     arm.qps = secs > 0 ? static_cast<double>(storm.size()) / secs : 0.0;
     arm.hit_rate =
@@ -278,14 +202,13 @@ void RunIntelPhase(const bench_util::DatasetRun& run,
         "{\"bench\":\"service_intel\",\"dataset\":\"%s\","
         "\"analyzer\":%s,\"queries\":%zu,\"seconds\":%.6f,\"qps\":%.1f,"
         "\"hit_rate\":%.4f,\"exact_hits\":%llu,\"canonical_hits\":%llu,"
-        "\"memo_hits\":%llu,\"compiles\":%llu,\"pruned\":%llu,"
+        "\"compiles\":%llu,\"pruned\":%llu,"
         "\"rewritten\":%llu,\"cache_entries\":%llu,\"evictions\":%llu}\n",
         run.name.c_str(), analyzer ? "true" : "false", storm.size(), secs,
         arm.qps, arm.hit_rate,
         static_cast<unsigned long long>(after.exact_hits - before.exact_hits),
         static_cast<unsigned long long>(after.canonical_hits -
                                         before.canonical_hits),
-        static_cast<unsigned long long>(after.memo_hits - before.memo_hits),
         static_cast<unsigned long long>(arm.compiles),
         static_cast<unsigned long long>(after.analyzer_pruned -
                                         before.analyzer_pruned),
@@ -330,7 +253,7 @@ void RunAccuracyPhase(const bench_util::DatasetRun& run,
         (void)svc.Estimate(r.synopsis, r.xpath);
       }
     };
-    run_all();  // warm the plan cache (and absorb first-touch sampling)
+    run_all();  // warm the answer cache (and absorb first-touch sampling)
     (void)svc.DrainShadow();
     const double secs = bench_util::TimeSeconds(run_all);
     (void)svc.DrainShadow();
@@ -414,7 +337,7 @@ void RunObs2Phase(const bench_util::DatasetRun& run,
       }
     }
   };
-  run_all(off_svc);  // warm both plan caches
+  run_all(off_svc);  // warm both answer caches
   run_all(on_svc);
 
   const double queries = static_cast<double>(kObsPasses * reqs.size());
@@ -500,7 +423,7 @@ void RunDataset(const bench_util::DatasetRun& run,
   }
   std::printf("%zu workload queries\n\n", reqs.size());
 
-  // Latency: warm plan cache vs the uncached parse+join path, single
+  // Latency: warm answer cache vs the uncached parse+join path, single
   // thread, mean microseconds per query. trace_sample=1 so the stage
   // rows count every stage execution (see StageScraper).
   {
@@ -514,9 +437,8 @@ void RunDataset(const bench_util::DatasetRun& run,
     };
     const double cold_s = bench_util::TimeSeconds(run_all);
     EmitRow(run.name, "cold", 1, reqs.size(), cold_s);
-    // Cold rows carry the compile path: parse, join, and the formula
-    // stage (now a constant read when the plan precomputed its
-    // estimate) — the formula-tail acceptance number lives here.
+    // Cold rows carry the estimate path: parse, the path-id joins, and
+    // the formulas around them.
     stages.Emit(run.name, "cold", 1);
     const double warm_s = bench_util::TimeSeconds(run_all);
     EmitRow(run.name, "warm", 1, reqs.size(), warm_s);
@@ -537,7 +459,7 @@ void RunDataset(const bench_util::DatasetRun& run,
     service::EstimationService svc(
         {.threads = threads, .trace_sample = 1});
     svc.registry().Register(run.name, synopsis);
-    (void)svc.EstimateBatch(reqs);  // warm the plan cache
+    (void)svc.EstimateBatch(reqs);  // warm the answer cache
     StageScraper stages(svc);  // measured reps only, not the warm-up
     // Enough repetitions to measure meaningfully at any thread count.
     const size_t reps = 4;
@@ -548,7 +470,6 @@ void RunDataset(const bench_util::DatasetRun& run,
     stages.Emit(run.name, "warm-batch", threads);
   }
 
-  RunMemoPhase(run, synopsis, reqs);
   RunIntelPhase(run, synopsis, reqs, config.seed);
   RunAccuracyPhase(run, synopsis, reqs);
   RunObs2Phase(run, synopsis, reqs);

@@ -37,7 +37,7 @@
 //                               (--live) insert a tag chain (novel tags
 //                               charge the patch-error budget)
 //   .rebuild <name>             (--live) schedule a background rebuild
-//   .clear                      drop the compiled-plan cache
+//   .clear                      drop the answer cache
 //   .quit                       exit (EOF works too)
 //
 // Malformed request lines — unknown dot-commands, a missing xpath, bare
@@ -287,7 +287,7 @@ int main(int argc, char** argv) {
       }
       if (line == ".clear") {
         service.ClearPlanCache();
-        std::printf("plan cache cleared\n");
+        std::printf("answer cache cleared\n");
         continue;
       }
       // .delta <name> clone <rank> | delete <rank> | insert <rank> a/b/c
@@ -384,7 +384,6 @@ int main(int argc, char** argv) {
     const auto after = service.Stats();
     const char* outcome = after.exact_hits > before.exact_hits
                               ? "exact-hit"
-                          : after.memo_hits > before.memo_hits ? "memo-hit"
                           : after.canonical_hits > before.canonical_hits
                               ? "canonical-hit"
                               : "miss";

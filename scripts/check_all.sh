@@ -14,6 +14,11 @@
 #      ctest label `quality`)
 #   3. ThreadSanitizer slice   (scripts/check_tsan.sh)
 #   4. ASan/UBSan slice        (scripts/check_asan.sh)
+#   5. perfbench smoke: each benchmark workload (perfbench/run.py) for
+#      2 s with tracing on; fails unless every result reports
+#      "correct": true and "failed": 0. The benchmark is its own CMake
+#      project over ../src and reads service counter names, so a src/
+#      change can break it without failing any of the stages above.
 #
 # The fuzz, chaos, and simulator smokes run inside step 1 via their
 # ctest entries (label `smoke`; simulate_smoke runs every scenario
@@ -27,7 +32,7 @@
 # repository root:
 #
 #   scripts/check_all.sh            # everything
-#   scripts/check_all.sh --fast     # tier-1 only, skip the sanitizers
+#   scripts/check_all.sh --fast     # tier-1 only, skip stages 3-5
 #
 # Exits non-zero on the first failing stage.
 set -euo pipefail
@@ -36,23 +41,35 @@ cd "$(dirname "$0")/.."
 fast=0
 if [[ "${1:-}" == "--fast" ]]; then fast=1; fi
 
-echo "== [1/4] tier-1 build + ctest =="
+echo "== [1/5] tier-1 build + ctest =="
 cmake -B build -S . >/dev/null
 cmake --build build -j"$(nproc)"
 (cd build && ctest -LE quality --output-on-failure)
 
-echo "== [2/4] quality slice (accuracy observability) =="
+echo "== [2/5] quality slice (accuracy observability) =="
 (cd build && ctest -L quality --output-on-failure)
 
 if [[ "$fast" == "1" ]]; then
-  echo "check_all: tier-1 passed (sanitizers skipped with --fast)."
+  echo "check_all: tier-1 passed (sanitizers and perfbench skipped with --fast)."
   exit 0
 fi
 
-echo "== [3/4] ThreadSanitizer slice =="
+echo "== [3/5] ThreadSanitizer slice =="
 scripts/check_tsan.sh
 
-echo "== [4/4] ASan/UBSan slice =="
+echo "== [4/5] ASan/UBSan slice =="
 scripts/check_asan.sh
+
+echo "== [5/5] perfbench smoke =="
+for workload in warm_zipf cold_compile batch_fanout live_churn; do
+  result=$(python3 perfbench/run.py --workload "$workload" --seed 1 \
+             --seconds 2 --trace 1 | tail -n 1)
+  python3 -c '
+import json, sys
+r = json.loads(sys.argv[2])
+ok = r.get("correct") is True and r.get("failed") == 0
+print("%s: correct=%s failed=%s" % (sys.argv[1], r.get("correct"), r.get("failed")))
+sys.exit(0 if ok else 1)' "$workload" "$result"
+done
 
 echo "check_all: all stages passed."

@@ -1,10 +1,10 @@
 #include "estimator/estimator.h"
 
 #include <algorithm>
+#include <chrono>
 #include <map>
 #include <set>
 
-#include "common/fault.h"
 #include "encoding/containment.h"
 #include "obs/metrics.h"
 #include "stats/path_order.h"
@@ -45,15 +45,6 @@ Status DeadlineError(const char* when) {
                 std::string("deadline expired ") + when);
 }
 
-/// True iff the plan needs the general path (order constraints or value
-/// predicates restructure the computation before the top-level join
-/// matters).
-bool NeedsGeneralPath(const Query& q) {
-  bool general = !q.orders.empty();
-  for (const auto& n : q.nodes) general |= n.value_filter.has_value();
-  return general;
-}
-
 /// Injective serialization of everything PathJoin reads from a query:
 /// the node structure (tag, axis, parent) and the root mode. Orders,
 /// target, and value filters do not influence the join, so subqueries
@@ -77,7 +68,7 @@ std::string JoinStructureKey(const Query& q) {
 
 struct Estimator::JoinMemo {
   struct Entry {
-    bool ok;
+    bool ok = false;
     std::vector<CandList> cands;
   };
   std::map<std::string, Entry> by_structure;
@@ -100,7 +91,10 @@ bool Estimator::RunCtx::CheckFine() {
 
 Result<double> Estimator::Estimate(const Query& query,
                                    const EstimateLimits& limits) const {
+  JoinMemo memo;
   RunCtx ctx{limits.deadline};
+  ctx.join_memo = &memo;
+  ctx.timed = limits.timed && limits.trace != nullptr;
   if (ctx.CheckCoarse()) return DeadlineError("before estimation began");
   Result<double> r = EstimateImpl(query, &ctx);
   FlushCounters(ctx, limits);
@@ -113,7 +107,7 @@ Result<double> Estimator::Estimate(const Query& query,
 void Estimator::FlushCounters(const RunCtx& ctx,
                               const EstimateLimits& limits) const {
   if (ctx.containment_tests == 0 && ctx.join_probes == 0 &&
-      ctx.fixpoint_rounds == 0) {
+      ctx.fixpoint_rounds == 0 && ctx.join_ns == 0) {
     return;
   }
   containment_tests_.fetch_add(ctx.containment_tests,
@@ -133,6 +127,8 @@ void Estimator::FlushCounters(const RunCtx& ctx,
     limits.trace->containment_tests += ctx.containment_tests;
     limits.trace->join_probes += ctx.join_probes;
     limits.trace->fixpoint_rounds += ctx.fixpoint_rounds;
+    limits.trace->stage_ns[static_cast<size_t>(obs::Stage::kJoin)] +=
+        ctx.join_ns;
   }
 }
 
@@ -231,115 +227,6 @@ Result<double> Estimator::EstimateImpl(const Query& query, RunCtx* ctx) const {
   return EstimateDocOrder(query, ctx);
 }
 
-size_t Estimator::Compiled::ApproxBytes() const {
-  size_t b = sizeof(Compiled);
-  for (const auto& n : query.nodes) {
-    b += n.tag.capacity() + n.children.capacity() * sizeof(int) +
-         sizeof(xpath::QueryNode);
-    if (n.value_filter.has_value()) b += n.value_filter->capacity();
-  }
-  b += query.orders.capacity() * sizeof(xpath::OrderConstraint);
-  b += tags.capacity() * sizeof(xml::TagId);
-  for (const CandList& l : join) {
-    b += sizeof(CandList) + l.capacity() * sizeof(Cand);
-  }
-  if (consts.has_value()) {
-    b += sizeof(FormulaConsts) +
-         consts->node_selectivity.capacity() * sizeof(double);
-  }
-  return b;
-}
-
-Result<Estimator::Compiled> Estimator::Compile(
-    const Query& query, const EstimateLimits& limits) const {
-  if (FaultFires(kAllocFaultSite)) {
-    return Status(StatusCode::kInternal, "injected allocation failure");
-  }
-  Status s = query.Validate();
-  if (!s.ok()) return s;
-  RunCtx ctx{limits.deadline};
-  if (ctx.CheckCoarse()) return DeadlineError("before compilation began");
-  Compiled plan;
-  plan.query = query;
-  if (!ResolveTags(plan.query, &plan.tags)) {
-    plan.tags.clear();
-    plan.zero = true;
-    return plan;
-  }
-  if (!PathJoin(plan.query, plan.tags, &plan.join, &ctx)) plan.zero = true;
-  if (!ctx.expired) PrecomputeConsts(&plan, &ctx);
-  FlushCounters(ctx, limits);
-  if (ctx.expired) return DeadlineError("during the path join");
-  return plan;
-}
-
-void Estimator::PrecomputeConsts(Compiled* plan, RunCtx* ctx) const {
-  const Query& q = plan->query;
-  JoinMemo memo;
-  // Seed the memo with the top-level join Compile already ran (general
-  // queries re-join the full structure inside EstimateImpl; this makes
-  // that a lookup). An unknown-tag zero never ran the join, so only seed
-  // when tags resolved.
-  if (!plan->tags.empty()) {
-    memo.by_structure.emplace(JoinStructureKey(q),
-                              JoinMemo::Entry{!plan->zero, plan->join});
-  }
-
-  // A fresh ctx, same deadline: an expiry mid-walk must not convert the
-  // already-successful compile into a deadline error — the plan simply
-  // ships without constants and requests take the legacy path.
-  RunCtx pctx{ctx->deadline};
-  pctx.join_memo = &memo;
-  FormulaConsts fc;
-  bool store = true;
-  if (NeedsGeneralPath(q)) {
-    Result<double> r = EstimateImpl(q, &pctx);
-    fc.estimate = std::move(r);
-  } else if (plan->zero) {
-    fc.estimate = 0.0;
-  } else {
-    // Flat per-node arena; the request-time answer is the target's cell.
-    fc.node_selectivity.resize(q.nodes.size(), 0.0);
-    for (size_t i = 0; i < q.nodes.size(); ++i) {
-      fc.node_selectivity[i] = NodeSelectivity(q, plan->tags, plan->join,
-                                               static_cast<int>(i), &pctx);
-    }
-    fc.estimate = fc.node_selectivity[q.target];
-  }
-  if (pctx.expired) store = false;
-  ctx->containment_tests += pctx.containment_tests;
-  ctx->join_probes += pctx.join_probes;
-  ctx->fixpoint_rounds += pctx.fixpoint_rounds;
-  if (store) plan->consts = std::move(fc);
-}
-
-Result<double> Estimator::EstimateCompiled(const Compiled& plan,
-                                           const EstimateLimits& limits) const {
-  const Query& q = plan.query;
-  // The fast-path promise of a deadline: an expired request costs one
-  // clock read here, never a join.
-  RunCtx ctx{limits.deadline};
-  if (ctx.CheckCoarse()) return DeadlineError("before estimation began");
-  // Constants present: the whole formula walk already ran at compile
-  // time against the same frozen synopsis; the answer is a load.
-  if (plan.consts.has_value()) return plan.consts->estimate;
-  // Order constraints and value predicates restructure the computation
-  // (truncated subqueries, rewrites, scaling) before the top-level join
-  // matters; route them through the general path. Estimate() revalidates
-  // the stored AST, which is cheap next to the joins it runs.
-  if (NeedsGeneralPath(q)) {
-    Result<double> r = EstimateImpl(q, &ctx);
-    FlushCounters(ctx, limits);
-    if (ctx.expired) return DeadlineError("during estimation");
-    return r;
-  }
-  if (plan.zero) return 0.0;
-  const double sel = NodeSelectivity(q, plan.tags, plan.join, q.target, &ctx);
-  FlushCounters(ctx, limits);
-  if (ctx.expired) return DeadlineError("during estimation");
-  return sel;
-}
-
 bool Estimator::ResolveTags(const Query& q,
                             std::vector<xml::TagId>* tags) const {
   tags->clear();
@@ -356,23 +243,30 @@ bool Estimator::ResolveTags(const Query& q,
   return true;
 }
 
-bool Estimator::PathJoin(const Query& q, const std::vector<xml::TagId>& tags,
-                         std::vector<CandList>* cands, RunCtx* ctx) const {
-  if (ctx->join_memo == nullptr) return PathJoinImpl(q, tags, cands, ctx);
+const std::vector<Estimator::CandList>* Estimator::PathJoin(
+    const Query& q, const std::vector<xml::TagId>& tags, RunCtx* ctx) const {
   // The join is a pure function of (node structure, synopsis); orders,
   // target, and value filters play no part. Never cache a join cut short
   // by an expired deadline — its survivor lists are partial.
-  const std::string key = JoinStructureKey(q);
+  std::string key = JoinStructureKey(q);
   auto it = ctx->join_memo->by_structure.find(key);
-  if (it != ctx->join_memo->by_structure.end()) {
-    *cands = it->second.cands;
-    return it->second.ok;
+  if (it == ctx->join_memo->by_structure.end()) {
+    JoinMemo::Entry entry;
+    const auto start = ctx->timed ? std::chrono::steady_clock::now()
+                                  : std::chrono::steady_clock::time_point{};
+    entry.ok = PathJoinImpl(q, tags, &entry.cands, ctx);
+    if (ctx->timed) {
+      ctx->join_ns += static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - start)
+              .count());
+    }
+    if (ctx->expired) return nullptr;
+    it = ctx->join_memo->by_structure
+             .emplace(std::move(key), std::move(entry))
+             .first;
   }
-  const bool ok = PathJoinImpl(q, tags, cands, ctx);
-  if (!ctx->expired) {
-    ctx->join_memo->by_structure.emplace(key, JoinMemo::Entry{ok, *cands});
-  }
-  return ok;
+  return it->second.ok ? &it->second.cands : nullptr;
 }
 
 bool Estimator::PathJoinImpl(const Query& q,
@@ -479,9 +373,9 @@ double Estimator::FreqSum(const CandList& l) {
 double Estimator::EstimateNoOrder(const Query& q, RunCtx* ctx) const {
   std::vector<xml::TagId> tags;
   if (!ResolveTags(q, &tags)) return 0;
-  std::vector<CandList> join;
-  if (!PathJoin(q, tags, &join, ctx)) return 0;
-  return NodeSelectivity(q, tags, join, q.target, ctx);
+  const std::vector<CandList>* join = PathJoin(q, tags, ctx);
+  if (join == nullptr) return 0;
+  return NodeSelectivity(q, tags, *join, q.target, ctx);
 }
 
 double Estimator::NodeSelectivity(const Query& q,
@@ -527,12 +421,12 @@ double Estimator::NodeSelectivity(const Query& q,
 
   std::vector<xml::TagId> tags_p;
   if (!ResolveTags(qp, &tags_p)) return 0;
-  std::vector<CandList> join_p;
-  if (!PathJoin(qp, tags_p, &join_p, ctx)) return 0;
+  const std::vector<CandList>* join_p = PathJoin(qp, tags_p, ctx);
+  if (join_p == nullptr) return 0;
 
   const double s_q_ni = NodeSelectivity(q, tags, join, ni, ctx);
-  const double s_qp_ni = NodeSelectivity(qp, tags_p, join_p, map[ni], ctx);
-  const double s_qp_n = NodeSelectivity(qp, tags_p, join_p, map[node], ctx);
+  const double s_qp_ni = NodeSelectivity(qp, tags_p, *join_p, map[ni], ctx);
+  const double s_qp_n = NodeSelectivity(qp, tags_p, *join_p, map[node], ctx);
   if (s_qp_ni <= 0) return 0;
   return s_qp_n * s_q_ni / s_qp_ni;
 }
@@ -545,14 +439,14 @@ double Estimator::OrderCellSum(const Query& q_prime, int x_in_prime,
   if (!ResolveTags(q_prime, &tags)) return 0;
   auto other = syn_.FindTag(other_tag_name);
   if (!other.has_value()) return 0;
-  std::vector<CandList> join;
-  if (!PathJoin(q_prime, tags, &join, ctx)) return 0;
+  const std::vector<CandList>* join = PathJoin(q_prime, tags, ctx);
+  if (join == nullptr) return 0;
 
   const histogram::OHistogram& oh = syn_.OHisto(tags[x_in_prime]);
   const stats::OrderRegion region =
       x_is_after ? stats::OrderRegion::kAfter : stats::OrderRegion::kBefore;
   double sum = 0;
-  for (const Cand& c : join[x_in_prime]) {
+  for (const Cand& c : (*join)[x_in_prime]) {
     sum += oh.Get(region, *other, c.pid);
   }
   return sum;
@@ -655,13 +549,13 @@ Result<double> Estimator::EstimateDocOrder(const Query& q, RunCtx* ctx) const {
 
   std::vector<xml::TagId> tags;
   if (!ResolveTags(q, &tags)) return 0.0;
-  std::vector<CandList> join;
-  if (!PathJoin(q, tags, &join, ctx)) return 0.0;
+  const std::vector<CandList>* join = PathJoin(q, tags, ctx);
+  if (join == nullptr) return 0.0;
 
   // Decode the surviving pids of d into tag chains below the junction
   // (Example 5.3).
   std::set<encoding::TagPath> chains;
-  for (const Cand& cand : join[d]) {
+  for (const Cand& cand : (*join)[d]) {
     syn_.PidBits(cand.pid).ForEachSetBit([&](size_t enc) {
       for (encoding::TagPath& chain : syn_.table().ChainsBelow(
                static_cast<uint32_t>(enc), tags[junction], tags[d])) {

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -26,6 +25,9 @@ struct EstimateLimits {
   /// probes, and fixpoint rounds are added to it on return (the service
   /// layer threads its per-request span here).
   obs::TraceSpans* trace = nullptr;
+  /// With `trace` set, also time the path-id joins the call runs (join
+  /// memo hits excluded) into trace's join stage. Off, no clock is read.
+  bool timed = false;
 };
 
 /// Selectivity estimator for XPath expressions with and without order
@@ -39,10 +41,9 @@ struct EstimateLimits {
 /// Queries mentioning tags absent from the document estimate to 0;
 /// wildcards on order-constraint endpoints return kUnsupported.
 ///
-/// Thread-safety: all estimation entry points (Estimate, Compile,
-/// EstimateCompiled) are const and reentrant — one Estimator over an
-/// immutable Synopsis may be shared by any number of threads. The only
-/// mutated member is the relaxed-atomic containment-test counter.
+/// Thread-safety: Estimate is const and reentrant — one Estimator over
+/// an immutable Synopsis may be shared by any number of threads. The
+/// only mutated member is the relaxed-atomic containment-test counter.
 /// set_join_to_fixpoint() is configuration and must happen-before
 /// concurrent estimation.
 class Estimator {
@@ -57,46 +58,6 @@ class Estimator {
   };
   using CandList = std::vector<Cand>;
 
-  /// Formula constants pre-resolved at Compile time. Everything in the
-  /// paper's Eqs. 2-5 depends only on the plan and the synopsis, both
-  /// frozen for the life of a compiled plan (plans are cached under
-  /// epoch-scoped keys, so a synopsis swap retires them wholesale) — so
-  /// the whole formula walk is evaluated once at compile time and
-  /// EstimateCompiled degenerates to returning a constant.
-  struct FormulaConsts {
-    /// The estimate (or its deterministic error, e.g. kUnsupported),
-    /// bit-identical to what the legacy per-request recomputation
-    /// produces. Deadline errors are never stored: if the compile-time
-    /// walk is cut short by the caller's deadline, the plan simply
-    /// carries no constants and requests fall back to the legacy path.
-    Result<double> estimate = 0.0;
-    /// Flat per-node arena: the Eq. 2 / Theorem 4.1 selectivity of every
-    /// query node under the top-level join, indexed by node id. Filled
-    /// for order-free predicate-free plans (where `estimate` equals
-    /// `node_selectivity[query.target]`); introspection + test surface.
-    std::vector<double> node_selectivity;
-  };
-
-  /// A compiled query plan: the validated AST, its resolved tag ids and
-  /// the survivor sets of the top-level path-id join of Section 4 —
-  /// everything per-query preparation produces, reusable across
-  /// estimate calls and cacheable by the service layer.
-  struct Compiled {
-    xpath::Query query;
-    std::vector<xml::TagId> tags;  ///< empty when `zero` via unknown tag
-    std::vector<CandList> join;    ///< per-node join survivors
-    /// The estimate is already known to be 0 (a tag absent from the
-    /// document, or the join pruned some candidate list to empty).
-    bool zero = false;
-    /// Pre-evaluated formula constants; absent when the compile deadline
-    /// expired mid-walk (or a test reset it to exercise the legacy
-    /// path). EstimateCompiled answers from here when present.
-    std::optional<FormulaConsts> consts;
-
-    /// Approximate heap footprint, for cache byte budgets.
-    size_t ApproxBytes() const;
-  };
-
   /// The synopsis must outlive the estimator.
   explicit Estimator(const Synopsis& synopsis) : syn_(synopsis) {}
   /// Binding a temporary synopsis would dangle.
@@ -104,30 +65,16 @@ class Estimator {
 
   /// Estimates the selectivity (result cardinality) of `query.target`.
   /// With a finite `limits.deadline`, returns kDeadlineExceeded instead
-  /// of an estimate once the deadline passes mid-computation.
+  /// of an estimate once the deadline passes mid-computation. Each call
+  /// runs with its own join memo: the formula walk's subqueries (Q', Q_x,
+  /// Q_t of Eqs. 2-5) share one join per distinct structure.
   Result<double> Estimate(const xpath::Query& query,
                           const EstimateLimits& limits = {}) const;
 
-  /// Validates `query` and runs the top-level path join into a
-  /// reusable plan (kInvalidArgument for malformed queries,
-  /// kDeadlineExceeded when `limits.deadline` expires mid-join).
-  Result<Compiled> Compile(const xpath::Query& query,
-                           const EstimateLimits& limits = {}) const;
-
-  /// Estimates from a compiled plan, with a result bit-identical to
-  /// Estimate(plan.query). Plans carrying precomputed formula constants
-  /// (the normal case) answer with a single load. Without constants,
-  /// order-free queries without value predicates skip validation, tag
-  /// resolution and the top-level path join; other query classes fall
-  /// back to the stored AST (still skipping the string parse that
-  /// produced it). An already-expired deadline returns
-  /// kDeadlineExceeded before any join work.
-  Result<double> EstimateCompiled(const Compiled& plan,
-                                  const EstimateLimits& limits = {}) const;
-
-  /// Fault site (common/fault.h) fired at Compile entry: when armed,
-  /// compilation fails with kInternal as an injected allocation
-  /// failure, for chaos-testing callers' partial-failure handling.
+  /// Fault site (common/fault.h) of an estimator allocation failure.
+  /// Estimate never fires it; the serving layer fires it before each
+  /// estimate it computes and fails that request with kInternal, for
+  /// chaos-testing its partial-failure handling.
   static constexpr std::string_view kAllocFaultSite = "estimator.alloc";
 
   /// Number of (pid x pid) containment tests performed by path joins
@@ -143,12 +90,12 @@ class Estimator {
   void set_join_to_fixpoint(bool v) { join_to_fixpoint_ = v; }
 
  private:
-  /// Compile-scoped memo of PathJoin results keyed by subquery
-  /// structure; defined in the .cc. The formula walk for branch and
-  /// order queries re-joins overlapping truncated subqueries (Q', Q_x,
-  /// Q_t share most of their edges); within one precompute call those
-  /// joins are pure functions of (structure, synopsis), so the memo
-  /// collapses the duplicates.
+  /// Call-scoped memo of PathJoin results keyed by subquery structure;
+  /// defined in the .cc. The formula walk for branch and order queries
+  /// re-joins overlapping truncated subqueries (Q', Q_x, Q_t share most
+  /// of their edges); within one Estimate call those joins are pure
+  /// functions of (structure, synopsis), so the memo collapses the
+  /// duplicates.
   struct JoinMemo;
 
   /// Per-call deadline state threaded through the recursive estimation
@@ -159,16 +106,17 @@ class Estimator {
     Deadline deadline;
     uint32_t ticks = 0;
     bool expired = false;
-    /// When set (Compile-time precompute only), PathJoin consults and
-    /// fills it. Never set on the per-request paths, whose work counters
-    /// must reflect real work.
+    /// The call's join memo (never null).
     JoinMemo* join_memo = nullptr;
+    /// Time the joins into `join_ns` (EstimateLimits::timed).
+    bool timed = false;
     /// Work counters, accumulated as plain integers on the hot path and
     /// flushed once per public entry point (to the estimator's member
     /// atomic, the global obs registry, and limits.trace when set).
     uint64_t containment_tests = 0;
     uint64_t join_probes = 0;
     uint64_t fixpoint_rounds = 0;
+    uint64_t join_ns = 0;
 
     /// Step/join-boundary check: reads the clock (cheap, but not free)
     /// unless the deadline is infinite or expiry already latched.
@@ -178,29 +126,25 @@ class Estimator {
     bool CheckFine();
   };
 
-  /// Estimate body shared by the public entry points; `ctx` carries the
-  /// deadline (never null).
+  /// Estimate's body; `ctx` carries the deadline and the join memo
+  /// (never null).
   Result<double> EstimateImpl(const xpath::Query& query, RunCtx* ctx) const;
-
-  /// Runs the formula walk once at Compile time and stores the result in
-  /// `plan->consts` — unless the deadline expires mid-walk, in which
-  /// case the plan is left without constants (legacy path at request
-  /// time). Counter flushing stays with the caller's ctx convention.
-  void PrecomputeConsts(Compiled* plan, RunCtx* ctx) const;
 
   /// Drains ctx's work counters into the member atomic, the global obs
   /// registry, and `limits.trace` (when set). Called exactly once per
-  /// public entry point, on every exit path.
+  /// Estimate call, on every exit path.
   void FlushCounters(const RunCtx& ctx, const EstimateLimits& limits) const;
 
   /// Per-query resolved tag ids; nullopt when some tag is unknown.
   bool ResolveTags(const xpath::Query& q, std::vector<xml::TagId>* tags) const;
 
-  /// Runs the path-id join of Section 4. Returns false when some node's
-  /// candidate list becomes empty (estimate 0) or the deadline expires.
-  /// Consults/fills ctx->join_memo when set.
-  bool PathJoin(const xpath::Query& q, const std::vector<xml::TagId>& tags,
-                std::vector<CandList>* cands, RunCtx* ctx) const;
+  /// Runs the path-id join of Section 4 through ctx->join_memo and
+  /// returns the per-node survivor lists, owned by the memo. Returns
+  /// null when some node's candidate list becomes empty (estimate 0) or
+  /// the deadline expires.
+  const std::vector<CandList>* PathJoin(const xpath::Query& q,
+                                        const std::vector<xml::TagId>& tags,
+                                        RunCtx* ctx) const;
 
   /// The uncached join body behind PathJoin's memo check.
   bool PathJoinImpl(const xpath::Query& q, const std::vector<xml::TagId>& tags,

@@ -26,9 +26,8 @@ namespace xee::fuzz {
 ///       tag alphabet                    (run under XEE_SANITIZE builds)
 ///   (b) byte/structure mutants of   metamorphic equivalence, bitwise:
 ///       serialized synopses             Estimate(q) == Estimate(canon(q)),
-///   (c) malformed-XML mutants of        Compile+EstimateCompiled ==
-///       datagen output                  Estimate, Deserialize/Serialize
-///                                       byte-identity, Write/Parse
+///   (c) malformed-XML mutants of        Deserialize/Serialize
+///       datagen output                  byte-identity, Write/Parse
 ///                                       idempotence
 ///                                   paper-semantics monotonicity vs
 ///                                       eval/ExactEvaluator on small
@@ -37,7 +36,7 @@ namespace xee::fuzz {
 ///                                       constraints shrink)
 ///
 /// The service layer rides along: EstimateBatch is fuzzed through the
-/// plan cache and must match the bare estimator bit-for-bit, cold and
+/// answer cache and must match the bare estimator bit-for-bit, cold and
 /// warm. Every find becomes a corpus entry under tests/corpus/, replayed
 /// as a regression test by fuzz_test.
 
@@ -134,7 +133,7 @@ class Harness {
   /// Generator (c): mutated XML through ParseXml, with Write/Parse
   /// idempotence and synopsis construction + estimates on survivors.
   Report RunXmlFuzz(const FuzzOptions& options) const;
-  /// Service battery: EstimateBatch through the plan cache (cold, warm,
+  /// Service battery: EstimateBatch through the answer cache (cold, warm,
   /// after invalidation) against the bare estimator, bit-for-bit.
   Report RunServiceFuzz(const FuzzOptions& options) const;
   /// Static-analyzer battery (xpath/analyze.h): grammar queries plus

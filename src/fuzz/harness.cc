@@ -356,33 +356,6 @@ void Harness::CheckQueryString(const TestBed& bed, Rng& rng,
                     e1.value(), bed.name.c_str(), var.label),
           raw));
     }
-    auto compiled = est.Compile(q);
-    if (compiled.ok()) {
-      auto ec = est.EstimateCompiled(compiled.value());
-      if (ec.ok() != e1.ok() ||
-          (!ec.ok() && ec.status().code() != e1.status().code())) {
-        rep->findings.push_back(MakeFinding(
-            "query", "compile-status",
-            StrFormat("EstimateCompiled=%s but Estimate=%s [%s/%s]",
-                      ec.status().ToString().c_str(),
-                      e1.status().ToString().c_str(), bed.name.c_str(),
-                      var.label),
-            raw));
-      } else if (ec.ok() && !BitwiseEq(ec.value(), e1.value())) {
-        rep->findings.push_back(MakeFinding(
-            "query", "compile-bitwise",
-            StrFormat("EstimateCompiled=%.17g but Estimate=%.17g [%s/%s]",
-                      ec.value(), e1.value(), bed.name.c_str(), var.label),
-            raw));
-      }
-    } else if (e1.ok()) {
-      rep->findings.push_back(MakeFinding(
-          "query", "compile-status",
-          StrFormat("Compile failed (%s) on a query Estimate accepts [%s/%s]",
-                    compiled.status().ToString().c_str(), bed.name.c_str(),
-                    var.label),
-          raw));
-    }
   }
 
   // Theorem 4.1: on a recursion-free document with v=0 histograms, the
@@ -885,7 +858,7 @@ Report Harness::RunServiceFuzz(const FuzzOptions& options) const {
 
     auto cold = svc.EstimateBatch(batch);
     check(cold, "cold");
-    auto warm = svc.EstimateBatch(batch);  // now served from the plan cache
+    auto warm = svc.EstimateBatch(batch);  // now served from the answer cache
     check(warm, "warm");
 
     if (it.Bernoulli(0.2)) svc.ClearPlanCache();

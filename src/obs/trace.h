@@ -32,10 +32,14 @@ namespace xee::obs {
 enum class Stage : uint8_t {
   kParse = 0,       ///< XPath string -> AST
   kCanonicalize,    ///< AST -> canonical form + cache key
-  kCacheLookup,     ///< plan-cache probes (exact + canonical + degraded)
+  kCacheLookup,     ///< answer-cache probes (exact + canonical + degraded)
   kSnapshot,        ///< synopsis registry snapshot acquire
-  kJoin,            ///< path join (Estimator::Compile)
-  kFormula,         ///< estimation formulas (EstimateCompiled)
+  /// Path-id joins (Section 4) inside Estimator::Estimate, timed by the
+  /// estimator itself; join-memo hits are lookups and do not count.
+  kJoin,
+  /// The rest of the Estimate call: Theorem 4.1, Eqs. 2-5 and the
+  /// document-order rewrite around the joins.
+  kFormula,
 };
 inline constexpr size_t kStageCount = 6;
 

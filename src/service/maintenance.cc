@@ -263,7 +263,7 @@ void MaintenanceManager::RebuildTask(std::string name) {
       continue;
     }
     // Publish: swap the registry snapshot (epoch bump retires the old
-    // version's plan-cache and memo namespaces), compact the live
+    // version's answer-cache namespaces), compact the live
     // arena to the shape we just built, and re-base the incremental
     // state with a fresh error budget.
     Publish(name, entry, rebuilt);

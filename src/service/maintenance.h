@@ -128,7 +128,7 @@ class MaintenanceManager {
 
   /// Applies one delta batch to `name`: mutates the live document,
   /// patches the synopsis, publishes the patched clone under a new
-  /// epoch (invalidating plan-cache/memo entries for free via the
+  /// epoch (invalidating answer-cache entries for free via the
   /// epoch-keyed namespaces), and marks the snapshot stale when the
   /// patch-error budget is exhausted. A rejected batch (invalid target,
   /// corrupt-fault) changes nothing and fails with kInvalidArgument;

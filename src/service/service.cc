@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/fault.h"
+#include "estimator/estimator.h"
 #include "xpath/analyze.h"
 #include "xpath/canonical.h"
 #include "xpath/parser.h"
@@ -16,6 +17,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 using obs::Stage;
+
+/// Bookkeeping charged per answer-cache entry (list and map nodes, the
+/// shared_ptr block). An exact-string alias pays only this and its key.
+constexpr size_t kEntryBytes = 64;
 
 uint64_t NsSince(Clock::time_point start) {
   return static_cast<uint64_t>(
@@ -57,7 +62,7 @@ obs::AccuracyOptions MakeAccuracyOptions(const ServiceOptions& o) {
 uint64_t FlightOutcomeCode(std::string_view label) {
   if (label == "exact-hit") return 1;
   if (label == "canonical-hit") return 2;
-  if (label == "memo-hit") return 3;
+  // 3 was a retired outcome; codes are never reused.
   if (label == "miss") return 4;
   if (label == "pruned") return 5;
   if (label == "deadline") return 6;
@@ -152,9 +157,6 @@ TenantTable::Slots* TenantTable::MakeSlots(const std::string& label_name,
   registry_->RegisterDerivedCounter("tenant.plan_hits", label, [raw] {
     return raw->Sum(&Lane::plan_hits);
   });
-  registry_->RegisterDerivedCounter("tenant.memo_hits", label, [raw] {
-    return raw->Sum(&Lane::memo_hits);
-  });
   s->request_ns = &registry_->GetHistogram("tenant.request_ns", label);
   if (flight != nullptr) s->flight_id = flight->Intern(label_name);
   return s.release();
@@ -240,8 +242,6 @@ EstimationService::EstimationService(ServiceOptions options)
     : options_(options),
       cache_(options.plan_cache_bytes,
              options.cache_shards < 1 ? 1 : options.cache_shards),
-      memo_(options.estimate_memo_bytes,
-            options.cache_shards < 1 ? 1 : options.cache_shards),
       stats_(&obs_),
       traces_(options.trace_capacity < 1 ? 1 : options.trace_capacity,
               options.slow_trace_ns),
@@ -266,7 +266,6 @@ EstimationService::EstimationService(ServiceOptions options)
     timeseries_->WatchCounterPrefix("service.shed");
     timeseries_->WatchCounterPrefix("service.trace.tail");
     timeseries_->WatchCounterPrefix("service.plan_cache");
-    timeseries_->WatchCounterPrefix("service.estimate_memo");
     timeseries_->WatchCounterPrefix("tenant.");
     timeseries_->WatchCounterPrefix("slo.alert");
     timeseries_->WatchGauge("service.inflight");
@@ -341,6 +340,18 @@ std::string EstimationService::MakeKey(char kind, uint64_t epoch,
   key.push_back(':');
   key += body;
   return key;
+}
+
+void EstimationService::CacheAnswer(
+    const std::string& key, const std::string& alias,
+    std::shared_ptr<const CachedAnswer> answer) {
+  const size_t answer_bytes =
+      sizeof(CachedAnswer) +
+      (answer->estimate.ok() ? 0 : answer->estimate.status().message().size());
+  cache_.Put(key, answer, key.size() + answer_bytes + kEntryBytes);
+  if (!alias.empty()) {
+    cache_.Put(alias, std::move(answer), alias.size() + kEntryBytes);
+  }
 }
 
 size_t EstimationService::TryAdmit(size_t want) {
@@ -510,34 +521,22 @@ EstimateOutcome EstimationService::EstimateAdmitted(
       stale_taint = true;
     }
 
-    // A salvaged (order-dropped) version only affects queries that
-    // carry order constraints — those degrade (or are refused with a
-    // quarantine message below). Order-free answers are bit-identical
-    // to an intact synopsis's, so they stay full fidelity.
-    const bool order_quarantined = snap->order_quarantined;
-    const estimator::EstimateLimits limits{req.deadline, &spans};
-
     // Exact-string probe: a warm repeat of the very same request text
-    // skips the parse as well as the join. Degraded plans only satisfy
-    // requests that accept degraded answers.
+    // skips the parse as well as the estimate. Degraded answers only
+    // satisfy requests that accept them.
     const std::string stripped = xpath::StripWhitespace(req.xpath);
     const std::string exact_key = MakeKey('x', snap->epoch, stripped);
-    {
-      std::shared_ptr<const CachedPlan> hit;
-      {
-        obs::ScopedStageTimer t(&spans, Stage::kCacheLookup,
-                                stats_.StageHist(Stage::kCacheLookup), timed);
-        hit = cache_.Get(exact_key);
-      }
-      if (hit && (!hit->degraded || req.allow_degraded)) {
-        outcome_label = "exact-hit";
-        stats_.exact_hits.Inc();
-        if (hit->pruned) stats_.analyzer_pruned.Inc();
-        out.estimate = hit->estimate;
-        out.degraded = hit->degraded && hit->estimate.ok();
-        out.pruned = hit->pruned;
-        return out;
-      }
+    auto probe = [&](const std::string& key) {
+      obs::ScopedStageTimer t(&spans, Stage::kCacheLookup,
+                              stats_.StageHist(Stage::kCacheLookup), timed);
+      return cache_.Get(key);
+    };
+    if (std::shared_ptr<const CachedAnswer> hit = probe(exact_key);
+        hit && (!hit->degraded || req.allow_degraded)) {
+      outcome_label = "exact-hit";
+      stats_.exact_hits.Inc();
+      if (hit->pruned) stats_.analyzer_pruned.Inc();
+      return hit->Outcome();
     }
 
     // Parse + canonicalize, then probe under the canonical key where
@@ -560,13 +559,13 @@ EstimateOutcome EstimationService::EstimateAdmitted(
       obs::ScopedStageTimer t(&spans, Stage::kCanonicalize,
                               stats_.StageHist(Stage::kCanonicalize), timed);
       canonical = xpath::Canonicalize(parsed.value());
-      // Static analysis (DESIGN.md §15) on the cache-miss path, inside
-      // the canonicalize stage (it is part of producing the plan key).
+      // Static analysis (DESIGN.md §15) on the exact-miss path, inside
+      // the canonicalize stage (it is part of producing the cache key).
       // A prune-safe unsatisfiability proof answers 0 below without a
       // join; otherwise the estimator-invariant rewrites run, so alias
-      // spellings serialize to one shared plan key. The prune gate
-      // requires the estimator to have answered exactly 0.0 itself —
-      // wildcard-order and missing-order-statistics shapes keep their
+      // spellings serialize to one shared key. The prune gate requires
+      // the estimator to have answered exactly 0.0 itself — wildcard-
+      // order and missing-order-statistics shapes keep their
       // kUnsupported / degraded surface, bit-for-bit.
       if (options_.enable_analyzer) {
         stats_.analyzer_checked.Inc();
@@ -584,212 +583,101 @@ EstimateOutcome EstimationService::EstimateAdmitted(
       body = xpath::SerializeKey(canonical);
     }
 
-    // Pruned fast path: serve 0 and cache a synthetic zero plan under
-    // the epoch-scoped keys (a synopsis swap re-validates the verdict).
-    // Runs before the memo probe and never inserts into the memo — the
-    // memo stores bare numbers and would drop the pruned label.
+    // Pruned fast path: serve 0 and cache it under the epoch-scoped
+    // keys (a synopsis swap re-validates the verdict).
     if (prune_now) {
       outcome_label = "pruned";
       stats_.analyzer_pruned.Inc();
-      const std::string canonical_key = MakeKey('c', snap->epoch, body);
-      std::shared_ptr<const CachedPlan> plan;
-      {
-        obs::ScopedStageTimer t(&spans, Stage::kCacheLookup,
-                                stats_.StageHist(Stage::kCacheLookup), timed);
-        plan = cache_.Get(canonical_key);
-      }
-      if (!plan) {
-        estimator::Estimator::Compiled zero;
-        zero.query = canonical;
-        zero.zero = true;
-        zero.consts.emplace();  // estimate defaults to exactly 0.0
-        plan = std::make_shared<const CachedPlan>(
-            CachedPlan{std::move(zero), Result<double>{0.0},
-                       /*degraded=*/false, /*pruned=*/true});
-        cache_.PutCanonical(canonical_key, plan);
-      }
-      cache_.PutAlias(exact_key, std::move(plan));
-      out.estimate = Result<double>{0.0};
-      out.pruned = true;
-      return out;
+      auto zero = std::make_shared<const CachedAnswer>(
+          CachedAnswer{0.0, /*degraded=*/false, /*pruned=*/true});
+      CacheAnswer(MakeKey('c', snap->epoch, body), exact_key, zero);
+      return zero->Outcome();
     }
-    // Estimate-memo probe: the finished number under (canonical hash,
-    // epoch). Entries are ~100 bytes, so they outlive evicted plans —
-    // this rung turns a plan-cache eviction into one probe instead of a
-    // recompile. Timed under cache-lookup: it is one.
-    if (memo_.enabled()) {
-      std::optional<Result<double>> m;
-      {
-        obs::ScopedStageTimer t(&spans, Stage::kCacheLookup,
-                                stats_.StageHist(Stage::kCacheLookup), timed);
-        m = memo_.Lookup('c', snap->epoch, body);
-      }
-      if (m.has_value()) {
-        outcome_label = "memo-hit";
-        stats_.memo_hits.Inc();
-        out.estimate = std::move(*m);
-        return out;
-      }
-      stats_.memo_misses.Inc();
-    }
-
-    const std::string canonical_key = MakeKey('c', snap->epoch, body);
-    {
-      std::shared_ptr<const CachedPlan> hit;
-      {
-        obs::ScopedStageTimer t(&spans, Stage::kCacheLookup,
-                                stats_.StageHist(Stage::kCacheLookup), timed);
-        hit = cache_.Get(canonical_key);
-      }
-      if (hit) {
-        outcome_label = "canonical-hit";
-        stats_.canonical_hits.Inc();
-        if (hit->pruned) stats_.analyzer_pruned.Inc();
-        cache_.PutAlias(exact_key, hit);
-        if (!hit->pruned) memo_.Insert('c', snap->epoch, body, hit->estimate);
-        out.estimate = hit->estimate;
-        out.pruned = hit->pruned;
-        return out;
-      }
-    }
-
-    estimator::Estimator est(*snap->synopsis);
-
-    // Computes, caches ('d' namespace) and serves the order-free
-    // estimate of `canonical` — the degradation rung for order-axis
-    // queries whose order statistics are missing, quarantined, or too
-    // expensive for the deadline. `alias_exact` is set only when the
-    // degradation is structural for this epoch (every future request
-    // would degrade the same way), never when it is deadline-forced —
-    // a later, slower request must be able to get the full answer.
-    auto run_degraded = [&](bool alias_exact) -> EstimateOutcome {
-      EstimateOutcome d;
-      d.degraded = true;
-      if (memo_.enabled()) {
-        std::optional<Result<double>> m;
-        {
-          obs::ScopedStageTimer t(&spans, Stage::kCacheLookup,
-                                  stats_.StageHist(Stage::kCacheLookup),
-                                  timed);
-          m = memo_.Lookup('d', snap->epoch, body);
-        }
-        if (m.has_value()) {
-          outcome_label = "memo-hit";
-          stats_.memo_hits.Inc();
-          d.estimate = std::move(*m);
-          return d;
-        }
-        stats_.memo_misses.Inc();
-      }
-      const std::string degraded_key = MakeKey('d', snap->epoch, body);
-      {
-        std::shared_ptr<const CachedPlan> hit;
-        {
-          obs::ScopedStageTimer t(&spans, Stage::kCacheLookup,
-                                  stats_.StageHist(Stage::kCacheLookup), timed);
-          hit = cache_.Get(degraded_key);
-        }
-        if (hit) {
-          outcome_label = "canonical-hit";
-          stats_.canonical_hits.Inc();
-          if (alias_exact) cache_.PutAlias(exact_key, hit);
-          memo_.Insert('d', snap->epoch, body, hit->estimate);
-          d.estimate = hit->estimate;
-          return d;
-        }
-      }
-      xpath::Query base = canonical;
-      base.orders.clear();
-      Result<estimator::Estimator::Compiled> compiled = [&] {
-        obs::ScopedStageTimer t(&spans, Stage::kJoin,
-                                stats_.StageHist(Stage::kJoin), timed);
-        return est.Compile(base, limits);
-      }();
-      if (!compiled.ok()) {
-        d.estimate = compiled.status();
-        return d;
-      }
-      Result<double> estimate = [&] {
-        obs::ScopedStageTimer t(&spans, Stage::kFormula,
-                                stats_.StageHist(Stage::kFormula), timed);
-        return est.EstimateCompiled(compiled.value(), limits);
-      }();
-      d.estimate = estimate;
-      if (estimate.status().code() == StatusCode::kDeadlineExceeded) {
-        outcome_label = "deadline";
-        return d;  // a blown deadline is not a property of the query
-      }
-      outcome_label = "miss";
-      auto plan = std::make_shared<const CachedPlan>(
-          CachedPlan{std::move(compiled).value(), estimate, /*degraded=*/true});
-      cache_.PutCanonical(degraded_key, plan);
-      if (alias_exact) cache_.PutAlias(exact_key, std::move(plan));
-      memo_.Insert('d', snap->epoch, body, estimate);
-      stats_.misses.Inc();
-      return d;
-    };
 
     // Rung 2 — missing order statistics (synopsis built without them,
     // or dropped by salvage). Degrade to the order-free formulas when
-    // the request permits; otherwise fail honestly.
+    // the request permits; otherwise fail honestly. A salvaged version
+    // only affects queries that carry order constraints: order-free
+    // answers are bit-identical to an intact synopsis's.
     const bool wants_order = !canonical.orders.empty();
-    if (wants_order && !snap->synopsis->has_order()) {
-      if (!req.allow_degraded) {
-        outcome_label = order_quarantined ? "quarantined" : "unsupported";
-        out.estimate =
-            order_quarantined
-                ? Status(StatusCode::kUnavailable,
-                         "order statistics quarantined for synopsis: " +
-                             req.synopsis)
-                : Status(StatusCode::kUnsupported,
-                         "synopsis was built without order statistics");
-        return out;
+    const bool missing_order = wants_order && !snap->synopsis->has_order();
+    if (missing_order && !req.allow_degraded) {
+      const bool order_quarantined = snap->order_quarantined;
+      outcome_label = order_quarantined ? "quarantined" : "unsupported";
+      out.estimate =
+          order_quarantined
+              ? Status(StatusCode::kUnavailable,
+                       "order statistics quarantined for synopsis: " +
+                           req.synopsis)
+              : Status(StatusCode::kUnsupported,
+                       "synopsis was built without order statistics");
+      return out;
+    }
+
+    // Serves the `kind` ('c' full fidelity / 'd' order-free degraded)
+    // answer for `canonical`: from the cache, or by estimating under the
+    // request deadline and caching the result — errors included, except
+    // a deadline error, which is not a property of the query. `alias`
+    // also files the answer under the exact request string; it is off
+    // only for a deadline-forced degradation, so a later, slower
+    // request can still get the full answer.
+    auto serve = [&](char kind, bool alias) -> EstimateOutcome {
+      const std::string key = MakeKey(kind, snap->epoch, body);
+      if (std::shared_ptr<const CachedAnswer> hit = probe(key)) {
+        outcome_label = "canonical-hit";
+        stats_.canonical_hits.Inc();
+        if (hit->pruned) stats_.analyzer_pruned.Inc();
+        if (alias) cache_.Put(exact_key, hit, exact_key.size() + kEntryBytes);
+        return hit->Outcome();
       }
-      return run_degraded(/*alias_exact=*/true);
-    }
+      EstimateOutcome o;
+      o.degraded = kind == 'd';
+      if (FaultFires(estimator::Estimator::kAllocFaultSite)) {
+        o.estimate =  // transient: uncached, outcome "error"
+            Status(StatusCode::kInternal, "injected allocation failure");
+        return o;
+      }
+      xpath::Query order_free;
+      if (o.degraded) {
+        order_free = canonical;
+        order_free.orders.clear();
+      }
+      const estimator::EstimateLimits limits{req.deadline, &spans, timed};
+      const uint64_t join_before = spans.StageNs(Stage::kJoin);
+      Clock::time_point start;
+      if (timed) start = Clock::now();
+      o.estimate = estimator::Estimator(*snap->synopsis)
+                       .Estimate(o.degraded ? order_free : canonical, limits);
+      if (timed) {
+        // The estimator timed its own joins into the span; the rest of
+        // the call is the formulas (Theorem 4.1, Eqs. 2-5, rewrites).
+        const uint64_t join_ns = spans.StageNs(Stage::kJoin) - join_before;
+        const uint64_t formula_ns = NsSince(start) - join_ns;
+        spans.stage_ns[static_cast<size_t>(Stage::kFormula)] += formula_ns;
+        stats_.StageHist(Stage::kJoin)->Record(join_ns);
+        stats_.StageHist(Stage::kFormula)->Record(formula_ns);
+      }
+      if (o.estimate.status().code() == StatusCode::kDeadlineExceeded) {
+        outcome_label = "deadline";
+        return o;
+      }
+      outcome_label = "miss";
+      stats_.misses.Inc();
+      auto answer = std::make_shared<const CachedAnswer>(
+          CachedAnswer{o.estimate, o.degraded, /*pruned=*/false});
+      CacheAnswer(key, alias ? exact_key : std::string(), std::move(answer));
+      return o;
+    };
 
-    // Full-fidelity path: compile (path join), then the estimation
-    // formulas, both under the request deadline.
-    Result<estimator::Estimator::Compiled> compiled = [&] {
-      obs::ScopedStageTimer t(&spans, Stage::kJoin,
-                              stats_.StageHist(Stage::kJoin), timed);
-      return est.Compile(canonical, limits);
-    }();
-
-    Result<double> estimate{0.0};
-    if (compiled.ok()) {
-      obs::ScopedStageTimer t(&spans, Stage::kFormula,
-                              stats_.StageHist(Stage::kFormula), timed);
-      estimate = est.EstimateCompiled(compiled.value(), limits);
-    } else {
-      estimate = compiled.status();
-    }
-
+    if (missing_order) return serve('d', /*alias=*/true);
+    EstimateOutcome full = serve('c', /*alias=*/true);
     // Rung 3 — deadline-forced fallback: the full computation did not
     // fit, but the (much cheaper) order-free one might still make it.
-    if (estimate.status().code() == StatusCode::kDeadlineExceeded) {
-      if (req.allow_degraded && wants_order && !req.deadline.HasExpired()) {
-        return run_degraded(/*alias_exact=*/false);
-      }
-      outcome_label = "deadline";
-      out.estimate = estimate;
-      return out;  // never cached: not a property of the query
+    if (full.estimate.status().code() == StatusCode::kDeadlineExceeded &&
+        req.allow_degraded && wants_order && !req.deadline.HasExpired()) {
+      return serve('d', /*alias=*/false);
     }
-    if (!compiled.ok()) {
-      outcome_label = "error";
-      out.estimate = estimate;
-      return out;  // compile errors: uncached, as before
-    }
-
-    outcome_label = "miss";
-    auto plan = std::make_shared<const CachedPlan>(
-        CachedPlan{std::move(compiled).value(), estimate, /*degraded=*/false});
-    cache_.PutCanonical(canonical_key, plan);
-    cache_.PutAlias(exact_key, std::move(plan));
-    memo_.Insert('c', snap->epoch, body, estimate);
-    stats_.misses.Inc();
-    out.estimate = estimate;
-    return out;
+    return full;
   }();
 
   // "Degraded" describes an answer actually served; failures are just
@@ -818,8 +706,6 @@ EstimateOutcome EstimationService::EstimateAdmitted(
       tenant.Inc(&TenantTable::Lane::errors);
     } else if (ol == "exact-hit" || ol == "canonical-hit") {
       tenant.Inc(&TenantTable::Lane::plan_hits);
-    } else if (ol == "memo-hit") {
-      tenant.Inc(&TenantTable::Lane::memo_hits);
     }
   }
   // Tail-based retention (DESIGN.md §16): the keep decision runs at
@@ -1072,13 +958,6 @@ std::string EstimationService::StatszJson() {
       .Set(static_cast<int64_t>(cache.bytes));
   obs_.GetGauge("service.plan_cache.evictions")
       .Set(static_cast<int64_t>(cache.evictions));
-  const LruStats memo = memo_.stats();
-  obs_.GetGauge("service.estimate_memo.entries")
-      .Set(static_cast<int64_t>(memo.entries));
-  obs_.GetGauge("service.estimate_memo.bytes")
-      .Set(static_cast<int64_t>(memo.bytes));
-  obs_.GetGauge("service.estimate_memo.evictions")
-      .Set(static_cast<int64_t>(memo.evictions));
   // Splice the accuracy section in as a fourth top-level key, keeping
   // the registry's counters/gauges/histograms rendering untouched.
   std::string j = obs_.ToJson();

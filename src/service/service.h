@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/deadline.h"
+#include "common/sharded_lru.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "obs/accuracy.h"
@@ -21,9 +22,7 @@
 #include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "xpath/query.h"
-#include "service/estimate_memo.h"
 #include "service/maintenance.h"
-#include "service/plan_cache.h"
 #include "service/service_stats.h"
 #include "service/synopsis_registry.h"
 
@@ -31,24 +30,16 @@ namespace xee::service {
 
 /// Construction knobs for EstimationService.
 struct ServiceOptions {
-  /// Byte budget of the compiled-plan cache (0 effectively disables
-  /// caching: every Put immediately evicts down to one entry per shard).
+  /// Byte budget of the answer cache (DESIGN.md §7; 0 effectively
+  /// disables caching: every Put immediately evicts down to one entry
+  /// per shard). The name predates the cache holding answers only.
   size_t plan_cache_bytes = 8ull << 20;
-  /// Plan-cache shard count (contention vs. bookkeeping overhead).
-  /// Shared by the estimate memo.
+  /// Answer-cache shard count (contention vs. bookkeeping overhead).
   size_t cache_shards = 8;
-  /// Byte budget of the final-estimate memo (service/estimate_memo.h):
-  /// a sharded LRU from (canonical plan hash, synopsis epoch) to the
-  /// finished estimate. Entries are ~100 bytes vs kilobytes for a
-  /// cached plan, so estimates survive plan evictions; a warm repeat
-  /// against an unchanged synopsis costs parse + canonicalize + one
-  /// probe. Epoch-keyed, so snapshot swaps invalidate for free.
-  /// 0 disables the memo.
-  size_t estimate_memo_bytes = 1ull << 20;
   /// Run the static query analyzer (xpath/analyze.h, DESIGN.md §15) on
-  /// plan-cache misses: answer provably-empty queries 0 in O(plan) with
+  /// exact-key misses: answer provably-empty queries 0 in O(plan) with
   /// outcome "pruned", and rewrite queries to estimator-invariant
-  /// cheaper forms so alias families share one cached plan. Served
+  /// cheaper forms so alias families share one cached answer. Served
   /// numbers are bit-identical with the analyzer on or off; only the
   /// pruned/rewritten labels and the cache economics change.
   bool enable_analyzer = true;
@@ -250,7 +241,6 @@ class TenantTable {
     std::atomic<uint64_t> shed{0};
     std::atomic<uint64_t> errors{0};
     std::atomic<uint64_t> plan_hits{0};
-    std::atomic<uint64_t> memo_hits{0};
   };
   static constexpr size_t kLanes = 4;
 
@@ -338,7 +328,7 @@ class TenantTable {
 };
 
 /// The serving layer over the paper's estimator: a synopsis registry
-/// (named, swappable datasets), a compiled-plan cache keyed by
+/// (named, swappable datasets), an answer cache keyed by exact and
 /// canonicalized queries, a worker pool for batch fan-out, admission
 /// control with deadline enforcement, and a stats surface. Built for
 /// the optimizer hot loop — the estimate for a warm query costs one
@@ -379,7 +369,7 @@ class EstimationService {
 
   /// Cache outcome counters, occupancy, and per-stage latency.
   ServiceStatsSnapshot Stats() const {
-    return stats_.Snap(cache_.stats(), memo_.stats());
+    return stats_.Snap(cache_.stats());
   }
 
   /// This service's metrics registry (every ServiceStats counter lives
@@ -397,7 +387,7 @@ class EstimationService {
   obs::AccuracyTracker& accuracy() { return accuracy_; }
   const obs::AccuracyTracker& accuracy() const { return accuracy_; }
 
-  /// The STATSZ payload: refreshes the plan-cache occupancy gauges and
+  /// The STATSZ payload: refreshes the answer-cache occupancy gauges and
   /// renders this service's registry as JSON (with an "accuracy"
   /// section spliced in).
   std::string StatszJson();
@@ -446,10 +436,7 @@ class EstimationService {
   /// Tests and benches use this to observe a quiesced accuracy state.
   bool DrainShadow(uint64_t timeout_ms = 10'000) const;
 
-  void ClearPlanCache() {
-    cache_.Clear();
-    memo_.Clear();
-  }
+  void ClearPlanCache() { cache_.Clear(); }
 
   size_t threads() const { return pool_.size(); }
 
@@ -473,8 +460,8 @@ class EstimationService {
                         const estimator::SynopsisOptions& build = {});
 
   /// Applies a delta batch to a live synopsis: patches incrementally,
-  /// publishes a new epoch (plan-cache and memo entries for the old
-  /// epoch die with it), and — when the patch-error budget is blown —
+  /// publishes a new epoch (answer-cache entries for the old epoch die
+  /// with it), and — when the patch-error budget is blown —
   /// marks the snapshot stale and (under auto_rebuild) schedules a
   /// rebuild. In-flight estimates are never blocked: they hold
   /// refcounted snapshots.
@@ -499,10 +486,37 @@ class EstimationService {
   const MaintenanceManager& maintenance() const { return *maint_; }
 
  private:
+  /// One answer-cache value: a finished estimate (or its deterministic
+  /// error) and how it was served. Shared by its canonical entry and
+  /// the exact-string aliases that reached it.
+  struct CachedAnswer {
+    Result<double> estimate{0.0};
+    /// Computed with the order constraints dropped (DESIGN.md §9); only
+    /// served to requests that allow degraded answers.
+    bool degraded = false;
+    /// The analyzer proved the query empty (DESIGN.md §15); the label
+    /// follows the answer on hits.
+    bool pruned = false;
+
+    EstimateOutcome Outcome() const {
+      EstimateOutcome out;
+      out.estimate = estimate;
+      out.degraded = degraded;
+      out.pruned = pruned;
+      return out;
+    }
+  };
+
   /// Namespaced cache key: kind ('x' exact string / 'c' canonical /
   /// 'd' degraded order-free), synopsis epoch, and the query body.
   static std::string MakeKey(char kind, uint64_t epoch,
                              const std::string& body);
+
+  /// Files `answer` under its canonical `key`, charged the answer, and
+  /// — when `alias` is non-empty — under that exact request key, charged
+  /// the key only.
+  void CacheAnswer(const std::string& key, const std::string& alias,
+                   std::shared_ptr<const CachedAnswer> answer);
 
   /// Reserves up to `want` in-flight slots; returns how many were
   /// granted (possibly 0). Never blocks.
@@ -555,8 +569,9 @@ class EstimationService {
 
   ServiceOptions options_;
   SynopsisRegistry registry_;
-  PlanCache cache_;
-  EstimateMemo memo_;
+  /// The answer cache (DESIGN.md §7): epoch-scoped keys, so a synopsis
+  /// swap retires every old entry without touching it.
+  ShardedLru<std::string, CachedAnswer> cache_;
   obs::Registry obs_;  // must precede stats_/accuracy_ (handle resolution)
   ServiceStats stats_;
   obs::TraceRing traces_;

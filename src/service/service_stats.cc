@@ -12,9 +12,6 @@ ServiceStats::ServiceStats(obs::Registry* registry)
       canonical_hits(
           registry->GetCounter("service.plan_cache", "outcome=canonical_hit")),
       misses(registry->GetCounter("service.plan_cache", "outcome=miss")),
-      memo_hits(registry->GetCounter("service.estimate_memo", "outcome=hit")),
-      memo_misses(
-          registry->GetCounter("service.estimate_memo", "outcome=miss")),
       analyzer_checked(
           registry->GetCounter("service.analyzer", "outcome=checked")),
       analyzer_pruned(
@@ -58,22 +55,16 @@ obs::Counter& ServiceStats::TailCounter(std::string_view cls) {
   return tail_slow;
 }
 
-ServiceStatsSnapshot ServiceStats::Snap(const LruStats& cache,
-                                        const LruStats& memo) const {
+ServiceStatsSnapshot ServiceStats::Snap(const LruStats& cache) const {
   ServiceStatsSnapshot s;
   s.requests = requests.value();
   s.batches = batches.value();
   s.exact_hits = exact_hits.value();
   s.canonical_hits = canonical_hits.value();
   s.misses = misses.value();
-  s.memo_hits = memo_hits.value();
-  s.memo_misses = memo_misses.value();
   s.analyzer_checked = analyzer_checked.value();
   s.analyzer_pruned = analyzer_pruned.value();
   s.analyzer_rewritten = analyzer_rewritten.value();
-  s.memo_evictions = memo.evictions;
-  s.memo_bytes = memo.bytes;
-  s.memo_entries = memo.entries;
   s.shed = shed.value();
   s.shed_single = shed_single.value();
   s.shed_batch = shed_batch.value();
@@ -115,14 +106,6 @@ std::string ServiceStatsSnapshot::ToString() const {
                    static_cast<unsigned long long>(cache_entries),
                    HumanBytes(cache_bytes).c_str(),
                    static_cast<unsigned long long>(cache_evictions));
-  out += StrFormat(
-      "estimate memo: %llu hits, %llu misses; %llu entries, %s charged, "
-      "%llu evictions\n",
-      static_cast<unsigned long long>(memo_hits),
-      static_cast<unsigned long long>(memo_misses),
-      static_cast<unsigned long long>(memo_entries),
-      HumanBytes(memo_bytes).c_str(),
-      static_cast<unsigned long long>(memo_evictions));
   out += StrFormat(
       "analyzer: %llu checked, %llu pruned, %llu rewritten\n",
       static_cast<unsigned long long>(analyzer_checked),

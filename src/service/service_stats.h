@@ -21,24 +21,17 @@ struct ServiceStatsSnapshot {
   uint64_t requests = 0;
   uint64_t batches = 0;
 
-  // Plan-cache outcome per request: an exact-string hit skips parse and
-  // join entirely; a canonical hit ran the parse but found the plan
-  // under the canonicalized key; a miss compiled from scratch.
+  // Answer-cache outcome per request: an exact-string hit skips parse
+  // and estimation entirely; a canonical hit ran the parse but found the
+  // answer under the canonicalized key; a miss ran the estimator.
   uint64_t exact_hits = 0;
   uint64_t canonical_hits = 0;
   uint64_t misses = 0;
 
-  // Estimate-memo outcome: a memo hit ran the parse but answered from
-  // the (canonical hash, epoch) final-estimate memo — no plan-cache
-  // value copy, no compile. Misses count probes that went on to the
-  // plan cache or a full compile.
-  uint64_t memo_hits = 0;
-  uint64_t memo_misses = 0;
-
   // Static-analyzer outcomes (DESIGN.md §15). `analyzer_checked` counts
   // cache-miss requests the analyzer examined; `analyzer_pruned` the
   // subset answered 0 by a satisfiability proof (cache hits on a pruned
-  // plan count here too — the label follows the answer); a request
+  // answer count here too — the label follows the answer); a request
   // counts in `analyzer_rewritten` when at least one rewrite rule fired
   // on its query.
   uint64_t analyzer_checked = 0;
@@ -64,15 +57,10 @@ struct ServiceStatsSnapshot {
   // 0 rather than paying two atomics per request).
   int64_t inflight = 0;
 
-  // Plan-cache occupancy, from the sharded LRU.
+  // Answer-cache occupancy, from the sharded LRU.
   uint64_t cache_evictions = 0;
   uint64_t cache_bytes = 0;
   uint64_t cache_entries = 0;
-
-  // Estimate-memo occupancy, from its own sharded LRU.
-  uint64_t memo_evictions = 0;
-  uint64_t memo_bytes = 0;
-  uint64_t memo_entries = 0;
 
   // Per-stage latency over the full pipeline (nanosecond histograms)
   // plus end-to-end. Fed by the 1-in-trace_sample timed requests, so
@@ -109,8 +97,6 @@ struct ServiceStats {
   obs::Counter& exact_hits;
   obs::Counter& canonical_hits;
   obs::Counter& misses;
-  obs::Counter& memo_hits;
-  obs::Counter& memo_misses;
   obs::Counter& analyzer_checked;
   obs::Counter& analyzer_pruned;
   obs::Counter& analyzer_rewritten;
@@ -146,8 +132,8 @@ struct ServiceStats {
     return stage[static_cast<size_t>(s)];
   }
 
-  /// Folds in the plan cache's and the estimate memo's LRU counters.
-  ServiceStatsSnapshot Snap(const LruStats& cache, const LruStats& memo) const;
+  /// Folds in the answer cache's LRU counters.
+  ServiceStatsSnapshot Snap(const LruStats& cache) const;
 };
 
 }  // namespace xee::service

@@ -117,17 +117,15 @@ InvariantReport CheckDrainInvariants(const SimTotals& totals,
   Check(&report, "obs-degraded", stats.degraded == totals.ok_degraded,
         Format("service.degraded=%" PRIu64 " sim.degraded=%" PRIu64,
                stats.degraded, totals.ok_degraded));
-  // A memo hit short-circuits before the canonical plan-cache probe, so
-  // memo-hit requests touch none of the plan-cache outcome counters —
-  // all four outcomes together must still fit under the request count.
+  // Each request lands in at most one answer-cache outcome (errors
+  // before or outside the cache land in none).
   Check(&report, "obs-cache-outcomes",
-        stats.exact_hits + stats.canonical_hits + stats.misses +
-                stats.memo_hits <=
+        stats.exact_hits + stats.canonical_hits + stats.misses <=
             stats.requests,
         Format("exact=%" PRIu64 " canonical=%" PRIu64 " miss=%" PRIu64
-               " memo=%" PRIu64 " requests=%" PRIu64,
+               " requests=%" PRIu64,
                stats.exact_hits, stats.canonical_hits, stats.misses,
-               stats.memo_hits, stats.requests));
+               stats.requests));
 
   // 6. Accuracy-sample conservation: every started sample reached
   // exactly one terminal counter, and the shadow backlog is empty.

@@ -131,7 +131,7 @@ Scenario BurstyOverloadChaos() {
   {
     ChaosWindow w;
     w.site = std::string(estimator::Estimator::kAllocFaultSite);
-    // The alloc site is only hit on plan-cache misses — rare once the
+    // The alloc site is only hit on answer-cache misses — rare once the
     // cache warms — so the probability is high to make the window
     // visible in the fire trajectory.
     w.config.probability = 0.35;
@@ -157,7 +157,7 @@ Scenario DiurnalAliasStorm() {
   s.arrival.period_us = 6'000'000;  // two compressed "days"
 
   // The cache-adversarial mix: 70% of requests respell their family
-  // under a fresh exact key against a deliberately small plan cache,
+  // under a fresh exact key against a deliberately small answer cache,
   // periodic reloads bump epochs (every cached key dies with its
   // epoch), and a bitrot window corrupts two of the reloads — one
   // tenant rides the salvage/quarantine path while traffic continues.
@@ -315,19 +315,18 @@ Scenario IntelAliasStorm() {
   s.arrival.rate_qps = 350.0;
 
   // The plan-sharing stress: a long-tail family table (shallow Zipf over
-  // 128 families) against a small plan cache and memo, with *semantic*
+  // 128 families) against a small answer cache, with *semantic*
   // respellings on top of the syntactic ones. Every "//x..." family has
   // up to three live spellings — itself, an axis-expanded alias, and the
   // root-anchored "/SITE//x..." form. The first two share a canonical
   // key by construction; only the analyzer's anchor/elide rewrites
-  // reunite the third with the family's plan. Small caches make the
+  // reunite the third with the family's answer. Small caches make the
   // difference measurable as hit-rate, not just entry counts.
   s.tenants = 4;
   s.dataset = "xmark";
   s.dataset_scale = 0.05;
   s.max_inflight = 128;
   s.plan_cache_bytes = 256 << 10;
-  s.estimate_memo_bytes = 128 << 10;
   s.accuracy_sample = 0;
   s.service_min_us = 500;
   s.service_exp_us = 4'500;

@@ -65,10 +65,6 @@ struct Scenario {
   double dataset_scale = 0.05;
   size_t max_inflight = 64;
   size_t plan_cache_bytes = 8ull << 20;
-  /// Final-estimate memo budget (0 disables). Kept at the service
-  /// default so alias-storm scenarios exercise the memo rung under the
-  /// same pressure production would see.
-  size_t estimate_memo_bytes = 1ull << 20;
   /// Static query analyzer (ServiceOptions::enable_analyzer): prune
   /// provably-empty queries and rewrite alias families onto shared
   /// plans. Served bits are analyzer-invariant, so flipping this must
@@ -147,8 +143,8 @@ Scenario DiurnalAliasStorm();
 Scenario LiveUpdateChurn();
 /// A long-tail workload (shallow Zipf over many families) where half
 /// the requests respell their family semantically ("/ROOT//..." for
-/// "//..."), against a deliberately small plan cache and memo: the
-/// analyzer's rewrites collapse each family's spellings onto one plan.
+/// "//..."), against a deliberately small answer cache: the analyzer's
+/// rewrites collapse each family's spellings onto one cached answer.
 Scenario IntelAliasStorm();
 /// IntelAliasStorm with enable_analyzer = false and a distinct name:
 /// the same seed and traffic, every semantic spelling compiling its own

@@ -133,10 +133,8 @@ std::string WindowRow::ToJson(const std::string& scenario) const {
   out += ",\"request_ns\":" + HistJson(request_ns);
   out += ",\"retry_after_ms\":" + HistJson(retry_after_ms);
   out += Format(
-      ",\"shadow_recorded\":%llu,\"formula_memo\":%llu,"
-      "\"analyzer_pruned\":%llu}",
+      ",\"shadow_recorded\":%llu,\"analyzer_pruned\":%llu}",
       static_cast<unsigned long long>(shadow_recorded),
-      static_cast<unsigned long long>(formula_memo),
       static_cast<unsigned long long>(analyzer_pruned));
   return out;
 }
@@ -222,7 +220,6 @@ SimResult RunScenario(const Scenario& sc) {
 
   service::ServiceOptions opt;
   opt.plan_cache_bytes = sc.plan_cache_bytes;
-  opt.estimate_memo_bytes = sc.estimate_memo_bytes;
   opt.enable_analyzer = sc.enable_analyzer;
   opt.max_inflight = sc.max_inflight;
   opt.accuracy_sample = sc.accuracy_sample;
@@ -321,12 +318,10 @@ SimResult RunScenario(const Scenario& sc) {
       svc.obs().GetHistogram("service.retry_after_ms");
   obs::Counter& recorded_ctr =
       svc.obs().GetCounter("accuracy.samples", "phase=recorded");
-  obs::Counter& memo_hit_ctr =
-      svc.obs().GetCounter("service.estimate_memo", "outcome=hit");
   obs::Counter& pruned_ctr =
       svc.obs().GetCounter("service.analyzer", "outcome=pruned");
   obs::HistogramWindow req_win, retry_win;
-  obs::CounterWindow recorded_win, memo_hit_win, pruned_win;
+  obs::CounterWindow recorded_win, pruned_win;
   std::vector<uint64_t> fire_prev(sc.chaos.size(), 0);
   uint64_t rebuilds_prev = 0;
   uint64_t alerts_fired_prev = 0, alerts_resolved_prev = 0;
@@ -362,7 +357,6 @@ SimResult RunScenario(const Scenario& sc) {
     row.request_ns = req_win.Advance(req_hist);
     row.retry_after_ms = retry_win.Advance(retry_hist);
     row.shadow_recorded = recorded_win.Advance(recorded_ctr.value());
-    row.formula_memo = memo_hit_win.Advance(memo_hit_ctr.value());
     row.analyzer_pruned = pruned_win.Advance(pruned_ctr.value());
     if (sc.live) {
       uint64_t cum = 0;

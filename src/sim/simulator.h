@@ -50,7 +50,6 @@ struct WindowRow {
   obs::HistogramSnapshot request_ns;      ///< timed-request latency, delta
   obs::HistogramSnapshot retry_after_ms;  ///< shed retry hints, delta
   uint64_t shadow_recorded = 0;           ///< accuracy samples, delta
-  uint64_t formula_memo = 0;              ///< estimate-memo hits, delta
   /// Requests answered 0 by the analyzer's unsat proof, delta. Measured
   /// rather than fingerprinted on purpose: the on/off scenario pair
   /// must share one fingerprint, and this is exactly the column that

@@ -33,10 +33,10 @@ struct TrafficModel {
 
   /// Probability that a request respells its family *semantically*: a
   /// "//"-headed query is re-issued as "/<root_name>//..." — a different
-  /// canonical query (new plan-cache AND memo key) that the static
-  /// analyzer's anchor/elide rewrites collapse back onto the family's
-  /// plan. With the analyzer off, every such spelling compiles and
-  /// caches as its own plan; the intel alias-storm scenarios measure
+  /// canonical query (new answer-cache key) that the static analyzer's
+  /// anchor/elide rewrites collapse back onto the family's answer. With
+  /// the analyzer off, every such spelling is estimated and cached on
+  /// its own; the intel alias-storm scenarios measure
   /// exactly that contrast. Guarded by `> 0 &&` in the source so a zero
   /// probability consumes no rng draws and existing scenario
   /// fingerprints stay bit-identical.

@@ -48,7 +48,6 @@
 #include "stats/pathid_frequency.h"
 #include "join/structural_join.h"
 #include "service/maintenance.h"
-#include "service/plan_cache.h"
 #include "service/service.h"
 #include "service/service_stats.h"
 #include "service/synopsis_registry.h"

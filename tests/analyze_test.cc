@@ -21,7 +21,7 @@
 //    leaf dropping) of every workload query.
 //  - Service surface: the pruned outcome (flag, exactly 0.0, label
 //    retention on exact/canonical hits), the analyzer counters, alias
-//    families meeting at one plan + one memo entry, epoch bumps killing
+//    families meeting at one cached answer, epoch bumps killing
 //    shared entries exactly once and re-validating prunes, an
 //    analyzer-off service matching an analyzer-on service bit for bit,
 //    and a concurrent EstimateBatch slice over shared analyzed plans
@@ -570,7 +570,7 @@ TEST(ServiceIntel, PrunedOutcomeServesExactlyZeroAndKeepsItsLabel) {
 // Scripted request sequence with every analyzer counter pinned: prunes
 // answered on the miss path, the exact-hit path, and the canonical-hit
 // path all carry the label; an alias family ("/Root//B" == "//Root//B"
-// == "//B" after rewriting) compiles once and shares one memo entry.
+// == "//B" after rewriting) is estimated once and shares one entry.
 TEST(ServiceIntel, CountersFollowTheAnswerAndAliasFamiliesShareOneEntry) {
   XEE_REQUIRES_OBS();
   service::EstimationService svc({.threads = 1});
@@ -592,10 +592,11 @@ TEST(ServiceIntel, CountersFollowTheAnswerAndAliasFamiliesShareOneEntry) {
   ExpectSameBits(svc.Estimate("p", "//Root//B").estimate, direct, "family 2");
   ExpectSameBits(svc.Estimate("p", "//B").estimate, direct, "family 3");
   s = svc.Stats();
-  EXPECT_EQ(s.misses, 1u);       // one compile serves the whole family
-  EXPECT_EQ(s.memo_hits, 2u);    // the other two spellings hit the memo
+  EXPECT_EQ(s.misses, 1u);          // one estimate serves the whole family
+  EXPECT_EQ(s.canonical_hits, 2u);  // the other two spellings share it
   EXPECT_EQ(s.analyzer_rewritten, 2u);  // "//B" itself needs no rewrite
-  EXPECT_EQ(s.memo_entries, 1u);
+  // 3 canonical entries (2 pruned, 1 family) + 6 exact-string aliases.
+  EXPECT_EQ(s.cache_entries, 9u);
   EXPECT_EQ(s.analyzer_checked, 6u);
 }
 
@@ -679,7 +680,7 @@ TEST(ServiceIntel, ConcurrentBatchesShareAnalyzedPlansRaceFree) {
       estimator::Synopsis::Build(bed.doc, {}));
 
   // A request mix that exercises every analyzer path: the alias family
-  // (shared plan + memo entry), pruned queries, and real workload
+  // (one shared entry), pruned queries, and real workload
   // queries, replicated so batch members collide on the shared entries.
   std::vector<service::QueryRequest> reqs;
   for (int rep = 0; rep < 4; ++rep) {

@@ -1,6 +1,6 @@
 // Service-layer maintenance tests (DESIGN.md §14): registry epoch
 // semantics under live mutation and background rebuilds — epoch bumps
-// invalidate the estimate memo, rebuild.alloc failures retry with
+// invalidate the answer cache, rebuild.alloc failures retry with
 // backoff and eventually abandon, the blown patch-error budget marks
 // the snapshot stale and (policy-gated) self-heals back to healthy,
 // estimates keep serving across publishes, and the maintenance ledger
@@ -78,18 +78,21 @@ TEST_F(MaintenanceTest, ApplyDeltaBumpsEpochAndInvalidatesMemo) {
   service::EstimationService svc(opt);
   const uint64_t epoch0 = svc.RegisterLive("live", SmallDoc());
 
-  // Warm the plan cache and the estimate memo.
+  // Warm the answer cache: a miss, then an exact hit.
   const std::string q = "//A/B";
   const double before = svc.Estimate("live", q).value();
   EXPECT_EQ(svc.Estimate("live", q).value(), before);
 
   // Doubling every A/B via clones must show up in the next estimate:
-  // the memo is epoch-keyed, so the publish invalidates it for free.
+  // the cache is epoch-keyed, so the publish invalidates it for free.
   auto out = svc.ApplyDelta("live", CloneDelta(svc, "live", 1));
   ASSERT_TRUE(out.ok());
   EXPECT_GT(out.value().epoch, epoch0);
   const double after = svc.Estimate("live", q).value();
   EXPECT_GT(after, before);
+#ifndef XEE_OBS_OFF
+  EXPECT_EQ(svc.Stats().misses, 2u);  // re-estimated, not served stale
+#endif
 
   const auto& row = RowOf(svc.maintenance().Rows(), "live");
   EXPECT_EQ(row.deltas_applied, 1u);

@@ -45,6 +45,19 @@ Result<double> Direct(const estimator::Synopsis& syn, const std::string& text) {
   return estimator::Estimator(syn).Estimate(q.value());
 }
 
+/// A service answer must equal Direct's bit for bit (status code on
+/// errors).
+void ExpectDirect(const EstimateOutcome& got, const estimator::Synopsis& syn,
+                  const std::string& text) {
+  Result<double> want = Direct(syn, text);
+  ASSERT_EQ(got.ok(), want.ok()) << text;
+  if (want.ok()) {
+    EXPECT_EQ(got.value(), want.value()) << text;
+  } else {
+    EXPECT_EQ(got.status().code(), want.status().code()) << text;
+  }
+}
+
 const char* kPaperQueries[] = {
     "//A/B",
     "//A/B/D",
@@ -72,14 +85,7 @@ TEST(ServiceTest, MatchesDirectEstimatorAndCountsCacheOutcomes) {
   svc.registry().Register("paper", PaperSynopsis());
 
   for (const char* q : kPaperQueries) {
-    EstimateOutcome got = svc.Estimate("paper", q);
-    Result<double> want = Direct(reference, q);
-    ASSERT_EQ(got.ok(), want.ok()) << q;
-    if (want.ok()) {
-      EXPECT_EQ(got.value(), want.value()) << q;  // bit-for-bit
-    } else {
-      EXPECT_EQ(got.status().code(), want.status().code()) << q;
-    }
+    ExpectDirect(svc.Estimate("paper", q), reference, q);
   }
   const size_t n = std::size(kPaperQueries);
   ServiceStatsSnapshot cold = svc.Stats();
@@ -93,16 +99,11 @@ TEST(ServiceTest, MatchesDirectEstimatorAndCountsCacheOutcomes) {
 
   // Second pass: every query is an exact-string hit.
   for (const char* q : kPaperQueries) {
-    EstimateOutcome got = svc.Estimate("paper", q);
-    Result<double> want = Direct(reference, q);
-    ASSERT_EQ(got.ok(), want.ok()) << q;
-    if (want.ok()) {
-      EXPECT_EQ(got.value(), want.value()) << q;
-    }
+    ExpectDirect(svc.Estimate("paper", q), reference, q);
   }
   ServiceStatsSnapshot warm = svc.Stats();
   EXPECT_EQ(warm.exact_hits, n);
-  // The pruned plan was aliased under its exact string like any other,
+  // The pruned answer was aliased under its exact string like any other,
   // so the repeat is an exact hit that keeps the pruned label.
   EXPECT_EQ(warm.misses, n - 1);
   EXPECT_EQ(warm.analyzer_pruned, 2u);
@@ -111,15 +112,11 @@ TEST(ServiceTest, MatchesDirectEstimatorAndCountsCacheOutcomes) {
 
 TEST(ServiceTest, SemanticallyEqualSpellingsShareOnePlan) {
   XEE_REQUIRES_OBS();
-  // Memo disabled: with it on, the respelling is answered one rung
-  // earlier (estimate memo, keyed by the same canonical hash) and never
-  // reaches the canonical plan-cache probe this test pins. The memo
-  // rung has its own tests below.
-  EstimationService svc({.estimate_memo_bytes = 0, .threads = 1});
+  EstimationService svc({.threads = 1});
   svc.registry().Register("paper", PaperSynopsis());
 
   ASSERT_TRUE(svc.Estimate("paper", "//A[B][C]/B/D").ok());
-  // Different text, same canonical plan: counted as a canonical hit.
+  // Different text, same canonical key: counted as a canonical hit.
   ASSERT_TRUE(svc.Estimate("paper", " //A[C][B] / B / child::D ").ok());
   ServiceStatsSnapshot s = svc.Stats();
   EXPECT_EQ(s.misses, 1u);
@@ -155,23 +152,19 @@ TEST(ServiceTest, ParseErrorsAreReportedAndNotCached) {
 }
 
 TEST(ServiceTest, TinyByteBudgetEvictsButStaysCorrect) {
-  EstimationService svc({.plan_cache_bytes = 2048, .cache_shards = 1,
+  // 512 bytes hold only a few of the eight answers and their aliases.
+  EstimationService svc({.plan_cache_bytes = 512, .cache_shards = 1,
                          .threads = 1});
   estimator::Synopsis reference = PaperSynopsis();
   svc.registry().Register("paper", PaperSynopsis());
   for (int round = 0; round < 3; ++round) {
     for (const char* q : kPaperQueries) {
-      EstimateOutcome got = svc.Estimate("paper", q);
-      Result<double> want = Direct(reference, q);
-      ASSERT_EQ(got.ok(), want.ok()) << q;
-      if (want.ok()) {
-        EXPECT_EQ(got.value(), want.value()) << q;
-      }
+      ExpectDirect(svc.Estimate("paper", q), reference, q);
     }
   }
   ServiceStatsSnapshot s = svc.Stats();
   EXPECT_GT(s.cache_evictions, 0u);
-  EXPECT_LE(s.cache_bytes, 4096u);  // budget respected (one entry slack)
+  EXPECT_LE(s.cache_bytes, 1024u);  // budget respected (one entry slack)
 }
 
 TEST(ServiceTest, SwapServesNewVersionWhileOldSnapshotsSurvive) {
@@ -206,22 +199,26 @@ TEST(ServiceTest, SwapServesNewVersionWhileOldSnapshotsSurvive) {
 }
 
 TEST(ServiceTest, CompiledPlansMatchUncompiledEstimates) {
-  estimator::Synopsis syn = PaperSynopsis();
-  estimator::Estimator est(syn);
-  for (const char* text : kPaperQueries) {
-    xpath::Query q = xpath::ParseXPath(text).value();
-    Result<estimator::Estimator::Compiled> plan = est.Compile(q);
-    ASSERT_TRUE(plan.ok()) << text;
-    EXPECT_GT(plan.value().ApproxBytes(), 0u);
-    Result<double> direct = est.Estimate(q);
-    Result<double> compiled = est.EstimateCompiled(plan.value());
-    ASSERT_EQ(direct.ok(), compiled.ok()) << text;
-    if (direct.ok()) {
-      EXPECT_EQ(direct.value(), compiled.value()) << text;
-    } else {
-      EXPECT_EQ(direct.status().code(), compiled.status().code()) << text;
+  XEE_REQUIRES_OBS();
+  // Miss, canonical hit and exact hit all serve a direct Estimate's
+  // bits, errors included.
+  EstimationService svc({.threads = 1});
+  estimator::Synopsis reference = PaperSynopsis();
+  svc.registry().Register("paper", PaperSynopsis());
+  const std::pair<const char*, const char*> spellings[] = {
+      {"//A/B", "//A/child::B"},
+      {"//A[B/D]/C/E", "//A[child::B/D]/C/E"},
+      {"//A/B/following-sibling::C", "//A/child::B/following-sibling::C"},
+      {"//A/*/following-sibling::C", "//A/child::*/following-sibling::C"}};
+  for (const auto& [first, respelled] : spellings) {
+    for (const char* text : {first, respelled, respelled}) {
+      ExpectDirect(svc.Estimate("paper", text), reference, text);
     }
   }
+  const ServiceStatsSnapshot s = svc.Stats();
+  EXPECT_EQ(s.misses, std::size(spellings));
+  EXPECT_EQ(s.canonical_hits, std::size(spellings));
+  EXPECT_EQ(s.exact_hits, std::size(spellings));
 }
 
 TEST(ServiceTest, BatchMatchesSequentialBitForBit) {
@@ -362,14 +359,6 @@ TEST(ServiceTest, EstimatorHonorsDeadlineLimits) {
   Result<double> r = est.Estimate(q, limits);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
-
-  Result<estimator::Estimator::Compiled> plan = est.Compile(q);
-  ASSERT_TRUE(plan.ok());
-  Result<double> rc = est.EstimateCompiled(plan.value(), limits);
-  ASSERT_FALSE(rc.ok());
-  EXPECT_EQ(rc.status().code(), StatusCode::kDeadlineExceeded);
-
-  EXPECT_FALSE(est.Compile(q, limits).ok());
 
   // An infinite deadline is the historical behavior, bit-for-bit.
   EXPECT_EQ(est.Estimate(q).value(), est.Estimate(q, {}).value());
@@ -586,7 +575,7 @@ TEST(ServiceTest, InjectedAllocationFailureIsTransient) {
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::kInternal);
   }
-  // The failure was not memoized; the retry succeeds.
+  // The failure was not cached; the retry succeeds.
   EXPECT_TRUE(svc.Estimate("paper", "//A/B").ok());
 }
 
@@ -606,9 +595,7 @@ TEST(ServiceTest, SlowWorkerFaultDoesNotChangeAnswers) {
   std::vector<EstimateOutcome> got = svc.EstimateBatch(batch);
   ASSERT_EQ(got.size(), std::size(kPaperQueries));
   for (size_t i = 0; i < got.size(); ++i) {
-    Result<double> want = Direct(reference, batch[i].xpath);
-    ASSERT_EQ(got[i].ok(), want.ok()) << batch[i].xpath;
-    if (want.ok()) EXPECT_EQ(got[i].value(), want.value()) << batch[i].xpath;
+    ExpectDirect(got[i], reference, batch[i].xpath);
   }
 }
 
@@ -668,13 +655,14 @@ TEST(ServiceTest, ConcurrentRegistryChaosUnderFaultInjection) {
   EXPECT_EQ(violations.load(), 0);
 }
 
-// --- estimate memo (DESIGN.md §13) ------------------------------------
+// --- answer cache (DESIGN.md §7) ------------------------------------
 
 TEST(ServiceTest, MemoServesRepeatsAfterPlanEviction) {
   XEE_REQUIRES_OBS();
-  // Plan cache starved to one resident entry: a repeat can only be
-  // answered by recompiling or by the estimate memo.
-  EstimationService svc({.plan_cache_bytes = 0, .cache_shards = 1,
+  // Answers are ~100-byte entries: a 4 KB budget, once barely two
+  // compiled plans, holds every answer and alias of the paper queries,
+  // so the repeat pass never re-estimates.
+  EstimationService svc({.plan_cache_bytes = 4096, .cache_shards = 1,
                          .threads = 1});
   estimator::Synopsis reference = PaperSynopsis();
   svc.registry().Register("paper", PaperSynopsis());
@@ -682,38 +670,27 @@ TEST(ServiceTest, MemoServesRepeatsAfterPlanEviction) {
   for (const char* q : kPaperQueries) (void)svc.Estimate("paper", q);
   const uint64_t misses_cold = svc.Stats().misses;
   for (const char* q : kPaperQueries) {
-    EstimateOutcome got = svc.Estimate("paper", q);
-    Result<double> want = Direct(reference, q);
-    ASSERT_EQ(got.ok(), want.ok()) << q;
-    if (want.ok()) EXPECT_EQ(got.value(), want.value()) << q;  // bit-for-bit
+    ExpectDirect(svc.Estimate("paper", q), reference, q);
   }
   const ServiceStatsSnapshot s = svc.Stats();
-  EXPECT_GT(s.memo_hits, 0u);
-  // The repeat pass never recompiled: every plan-cache miss is from the
-  // cold pass.
   EXPECT_EQ(s.misses, misses_cold);
-  EXPECT_GT(s.memo_entries, 0u);
-  EXPECT_GT(s.memo_bytes, 0u);
+  EXPECT_EQ(s.exact_hits, std::size(kPaperQueries));
+  EXPECT_EQ(s.cache_evictions, 0u);
+  EXPECT_GT(s.cache_bytes, 0u);
 }
 
 TEST(ServiceTest, MemoDisabledByZeroBudgetStaysCorrect) {
   XEE_REQUIRES_OBS();
   EstimationService svc({.plan_cache_bytes = 0, .cache_shards = 1,
-                         .estimate_memo_bytes = 0, .threads = 1});
+                         .threads = 1});
   estimator::Synopsis reference = PaperSynopsis();
   svc.registry().Register("paper", PaperSynopsis());
   for (int pass = 0; pass < 2; ++pass) {
     for (const char* q : kPaperQueries) {
-      EstimateOutcome got = svc.Estimate("paper", q);
-      Result<double> want = Direct(reference, q);
-      ASSERT_EQ(got.ok(), want.ok()) << q;
-      if (want.ok()) EXPECT_EQ(got.value(), want.value()) << q;
+      ExpectDirect(svc.Estimate("paper", q), reference, q);
     }
   }
-  const ServiceStatsSnapshot s = svc.Stats();
-  EXPECT_EQ(s.memo_hits, 0u);
-  EXPECT_EQ(s.memo_misses, 0u);  // disabled probes don't count as misses
-  EXPECT_EQ(s.memo_entries, 0u);
+  EXPECT_EQ(svc.Stats().cache_entries, 1u);  // the last answer's alias
 }
 
 TEST(ServiceTest, MemoEntriesDieWithTheirEpoch) {
@@ -722,55 +699,49 @@ TEST(ServiceTest, MemoEntriesDieWithTheirEpoch) {
   svc.registry().Register("paper", PaperSynopsis());
   (void)svc.Estimate("paper", "//A/B");
   (void)svc.Estimate("paper", "//A/B");
-  const uint64_t hits_before = svc.Stats().memo_hits;
+  EXPECT_EQ(svc.Stats().exact_hits, 1u);
 
-  // Same synopsis, new epoch: the old memo entries are unreachable (the
-  // epoch is part of the key), so the next request misses the memo and
-  // recompiles under the new epoch.
+  // Same synopsis, new epoch: the old entries are unreachable (the epoch
+  // is part of every key), so the next request estimates afresh.
   svc.registry().Register("paper", PaperSynopsis());
-  const uint64_t misses_before = svc.Stats().memo_misses;
   (void)svc.Estimate("paper", "//A/B");
-  EXPECT_EQ(svc.Stats().memo_hits, hits_before);
-  EXPECT_GT(svc.Stats().memo_misses, misses_before);
+  EXPECT_EQ(svc.Stats().exact_hits, 1u);
+  EXPECT_EQ(svc.Stats().misses, 2u);
 }
 
 TEST(ServiceTest, DegradedMemoNeverLeaksIntoStrictRequests) {
   XEE_REQUIRES_OBS();
   estimator::SynopsisOptions no_order;
   no_order.build_order = false;
-  // Starved plan cache so strict requests can't be answered (or
-  // refused) from a cached plan either — both rungs must re-derive the
-  // refusal.
-  EstimationService svc({.plan_cache_bytes = 0, .cache_shards = 1,
-                         .threads = 1});
+  EstimationService svc({.threads = 1});
   svc.registry().Register(
       "paper",
       estimator::Synopsis::Build(testing::MakePaperDocument(), no_order));
 
+  // A degraded answer cached under its 'd' key and its exact alias
+  // serves the repeat and a respelling, both still flagged degraded.
   const char* order_query = "//A/B/following-sibling::C";
+  const char* respelled = "//A/child::B/following-sibling::C";
   EstimateOutcome first = svc.Estimate("paper", order_query);
   ASSERT_TRUE(first.ok());
   EXPECT_TRUE(first.degraded);
-  // Push the one residual plan out (the starved cache holds a single
-  // entry — the order query's own alias, which would serve the repeat
-  // as an exact hit and bypass the memo rung under test).
-  (void)svc.Estimate("paper", "//A/B");
-  // The repeat is served from the 'd' memo and stays flagged degraded.
-  EstimateOutcome repeat = svc.Estimate("paper", order_query);
-  ASSERT_TRUE(repeat.ok());
-  EXPECT_TRUE(repeat.degraded);
-  EXPECT_EQ(repeat.value(), first.value());
-  EXPECT_GT(svc.Stats().memo_hits, 0u);
+  for (const char* text : {order_query, respelled}) {
+    EstimateOutcome hit = svc.Estimate("paper", text);
+    ASSERT_TRUE(hit.ok());
+    EXPECT_TRUE(hit.degraded);
+    EXPECT_EQ(hit.value(), first.value());
+  }
+  EXPECT_EQ(svc.Stats().exact_hits, 1u);
+  EXPECT_EQ(svc.Stats().canonical_hits, 1u);
 
-  // A strict request must still be refused — the memoized degraded
+  // Strict requests are refused under either spelling: the cached
   // answer exists but is only reachable once degradation is permitted.
-  QueryRequest strict;
-  strict.synopsis = "paper";
-  strict.xpath = order_query;
-  strict.allow_degraded = false;
-  EstimateOutcome refused = svc.Estimate(strict);
-  ASSERT_FALSE(refused.ok());
-  EXPECT_EQ(refused.status().code(), StatusCode::kUnsupported);
+  for (const char* text : {order_query, respelled}) {
+    const QueryRequest strict{"paper", text, Deadline{}, false};
+    EstimateOutcome refused = svc.Estimate(strict);
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.status().code(), StatusCode::kUnsupported);
+  }
 }
 
 TEST(ServiceTest, ClearPlanCacheAlsoClearsTheMemo) {
@@ -778,12 +749,27 @@ TEST(ServiceTest, ClearPlanCacheAlsoClearsTheMemo) {
   EstimationService svc({.threads = 1});
   svc.registry().Register("paper", PaperSynopsis());
   (void)svc.Estimate("paper", "//A/B");
-  EXPECT_GT(svc.Stats().memo_entries, 0u);
+  EXPECT_EQ(svc.Stats().cache_entries, 2u);  // canonical entry + alias
   svc.ClearPlanCache();
-  EXPECT_EQ(svc.Stats().memo_entries, 0u);
-  EXPECT_EQ(svc.Stats().memo_bytes, 0u);
-  // Still answers correctly after the flush (recompile path).
+  EXPECT_EQ(svc.Stats().cache_entries, 0u);
+  EXPECT_EQ(svc.Stats().cache_bytes, 0u);
+  // Still answers correctly after the flush, as a miss.
   EXPECT_TRUE(svc.Estimate("paper", "//A/B").ok());
+  EXPECT_EQ(svc.Stats().misses, 2u);
+}
+
+TEST(ServiceTest, RespelledRepeatIsAnExactHit) {
+  XEE_REQUIRES_OBS();
+  EstimationService svc;  // production defaults
+  svc.registry().Register("paper", PaperSynopsis());
+  ASSERT_TRUE(svc.Estimate("paper", "//A/B/D").ok());
+  // The canonical hit files the respelling under its exact string.
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(svc.Estimate("paper", "//A/child::B/D").ok());
+  }
+  const ServiceStatsSnapshot s = svc.Stats();
+  EXPECT_EQ(s.canonical_hits, 1u);
+  EXPECT_EQ(s.exact_hits, 1u);
 }
 
 }  // namespace

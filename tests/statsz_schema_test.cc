@@ -52,9 +52,7 @@ class StatszSchemaTest : public ::testing::Test {
     ASSERT_TRUE(svc_->Estimate("paper", "//A/B").ok());  // miss
     ASSERT_TRUE(svc_->Estimate("paper", "//A/B").ok());  // exact hit
     ASSERT_TRUE(svc_->Estimate("paper", "//A[B][C]/B/D").ok());  // miss
-    // Different text, same canonical plan: with the estimate memo at
-    // its production default this is answered by the memo rung, one
-    // probe before the canonical plan cache.
+    // Different text, same canonical key: a canonical hit.
     ASSERT_TRUE(svc_->Estimate("paper", " //A[C][B] / B / child::D ").ok());
     ASSERT_FALSE(svc_->Estimate("paper", "((").ok());    // parse error
     QueryRequest expired{"paper", "//A/B"};
@@ -98,8 +96,6 @@ TEST_F(StatszSchemaTest, TopLevelSectionsAndScrapedKeys) {
            "service.plan_cache{outcome=exact_hit}",
            "service.plan_cache{outcome=canonical_hit}",
            "service.plan_cache{outcome=miss}",
-           "service.estimate_memo{outcome=hit}",
-           "service.estimate_memo{outcome=miss}",
            "service.outcome{reason=deadline_exceeded}",
            "accuracy.samples{phase=started}",
            "accuracy.samples{phase=recorded}",
@@ -112,22 +108,20 @@ TEST_F(StatszSchemaTest, TopLevelSectionsAndScrapedKeys) {
   EXPECT_EQ(counters.Find("service.requests")->number, 6.0);
   EXPECT_EQ(counters.Find("service.plan_cache{outcome=exact_hit}")->number,
             1.0);
-  // The respelling memo-hit before the canonical plan-cache probe, so
-  // the canonical_hit counter stays at zero (the key still exports).
   EXPECT_EQ(
       counters.Find("service.plan_cache{outcome=canonical_hit}")->number,
-      0.0);
-  EXPECT_EQ(counters.Find("service.estimate_memo{outcome=hit}")->number,
-            1.0);
+      1.0);
+  // One answer cache: no second cache tier exports rows of its own.
+  for (const auto& [key, value] : counters.members) {
+    EXPECT_EQ(key.find("memo"), std::string::npos) << key;
+  }
 
-  // Plan-cache occupancy gauges.
+  // Answer-cache occupancy gauges (named for the plan cache they
+  // replaced, so dashboards keep working).
   const Value& gauges = *root.Find("gauges");
   for (const char* key : {"service.plan_cache.entries",
                           "service.plan_cache.bytes",
-                          "service.plan_cache.evictions",
-                          "service.estimate_memo.entries",
-                          "service.estimate_memo.bytes",
-                          "service.estimate_memo.evictions"}) {
+                          "service.plan_cache.evictions"}) {
     const Value* g = MustFind(gauges, key);
     ASSERT_NE(g, nullptr);
     EXPECT_TRUE(g->is_number()) << key;
