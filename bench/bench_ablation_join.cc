@@ -1,7 +1,9 @@
 // Ablation A2 (DESIGN.md): path-id join to fixpoint vs the classic
 // two-pass (bottom-up + top-down) semi-join reducer. For tree queries
 // the two produce identical candidate lists (acyclic full-reducer), so
-// the interesting dimension is cost: containment tests and wall time.
+// the interesting dimension is cost: containment tests (one tag-path
+// test per parent-tag group and child candidate per sweep, DESIGN.md
+// §13) and wall time.
 
 #include <cmath>
 #include <cstdio>
@@ -55,8 +57,10 @@ int main(int argc, char** argv) {
   std::printf(
       "\nexpected: identical estimates (max|diff| ~ 0) — the two-pass "
       "reducer is a full reducer for tree queries. Containment-test "
-      "counts differ by dataset: the fixpoint loop exits early on "
-      "already-clean lists, while the two-pass variant always sweeps "
-      "every edge twice in both directions.\n");
+      "counts (one tag-path test per parent-tag group and child candidate "
+      "per sweep; the cover-row ANDs are not counted) differ by dataset: "
+      "the fixpoint loop exits early on already-clean lists, while the "
+      "two-pass variant always sweeps every edge twice in both "
+      "directions.\n");
   return 0;
 }

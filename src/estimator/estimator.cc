@@ -40,6 +40,21 @@ void PropagateDown(const Query& q, std::vector<bool>* mask) {
   }
 }
 
+bool Intersects(const uint64_t* a, const uint64_t* b, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    if ((a[i] & b[i]) != 0) return true;
+  }
+  return false;
+}
+
+bool TestBit(const uint64_t* words, size_t i) {
+  return ((words[i >> 6] >> (i & 63)) & 1) != 0;
+}
+
+void SetBit(uint64_t* words, size_t i) {
+  words[i >> 6] |= uint64_t{1} << (i & 63);
+}
+
 Status DeadlineError(const char* when) {
   return Status(StatusCode::kDeadlineExceeded,
                 std::string("deadline expired ") + when);
@@ -72,6 +87,13 @@ struct Estimator::JoinMemo {
     std::vector<CandList> cands;
   };
   std::map<std::string, Entry> by_structure;
+  /// Buffers of the join sweeps, reused across the call's sweeps.
+  struct Scratch {
+    std::vector<size_t> group_end;  // end index of each parent-tag group
+    std::vector<uint8_t> ok;        // tag test per (group, child)
+    std::vector<uint64_t> ok_pids;  // per group: pids of passing children
+    std::vector<uint64_t> alive;    // per group: OR of survivors' cover rows
+  } scratch;
 };
 
 bool Estimator::RunCtx::CheckCoarse() {
@@ -306,37 +328,89 @@ bool Estimator::PathJoinImpl(const Query& q,
                   [this](const Cand& c) { return c.pid != syn_.root_pid(); });
   }
 
-  auto compatible = [this, ctx](const Cand& parent, const Cand& child,
-                                StructAxis axis) {
-    // On expiry, report incompatible: lists collapse, the sweeps finish
-    // quickly, and the caller discards the result via ctx->expired.
-    if (ctx->CheckFine()) return false;
-    ++ctx->containment_tests;
-    return encoding::PidPairCompatible(
-        syn_.table(), parent.tag, syn_.PidBits(parent.pid), child.tag,
-        syn_.PidBits(child.pid), ToAxisKind(axis));
-  };
-
-  // Semi-join reduction over every query edge; a sweep filters both
-  // endpoint lists. Returns true if something was removed.
+  // Word-parallel semi-join reduction over every query edge (DESIGN.md
+  // §13); a sweep filters both endpoint lists, keeping survivors in
+  // order. Returns true if something was removed.
+  const encoding::PidJoinIndex& index = syn_.join_index();
+  const size_t pid_words = index.pid_words();
+  const size_t path_words = index.path_words();
+  JoinMemo::Scratch& x = ctx->join_memo->scratch;
   auto sweep_edge = [&](size_t i) {
     if (ctx->expired) return false;
     ++ctx->join_probes;
     const int p = q.nodes[i].parent;
-    const StructAxis axis = q.nodes[i].axis;
+    const encoding::AxisKind axis = ToAxisKind(q.nodes[i].axis);
     CandList& pl = (*cands)[p];
     CandList& cl = (*cands)[i];
     const size_t before = pl.size() + cl.size();
-    std::erase_if(pl, [&](const Cand& pc) {
-      return std::none_of(cl.begin(), cl.end(), [&](const Cand& cc) {
-        return compatible(pc, cc, axis);
-      });
-    });
-    std::erase_if(cl, [&](const Cand& cc) {
-      return std::none_of(pl.begin(), pl.end(), [&](const Cand& pc) {
-        return compatible(pc, cc, axis);
-      });
-    });
+
+    // Parent-tag groups: runs of equal tag in pl (one run unless pl is a
+    // "*" list, whose equal tags are adjacent).
+    x.group_end.clear();
+    for (size_t k = 1; k <= pl.size(); ++k) {
+      if (k == pl.size() || pl[k].tag != pl[k - 1].tag) {
+        x.group_end.push_back(k);
+      }
+    }
+    const size_t groups = x.group_end.size();
+    const size_t n = cl.size();
+
+    // 1. The tag test once per (group, child): does the child's pid hold
+    //    a path on which its tag sits below the group's tag? ok_pids[g]
+    //    collects the pids of the children that pass it.
+    x.ok.assign(groups * n, 0);
+    x.ok_pids.assign(groups * pid_words, 0);
+    for (size_t g = 0, begin = 0; g < groups; begin = x.group_end[g++]) {
+      const xml::TagId tag = pl[begin].tag;
+      uint64_t* ok_pids = x.ok_pids.data() + g * pid_words;
+      const uint64_t* below = nullptr;
+      for (size_t c = 0; c < n; ++c) {
+        if (c == 0 || cl[c].tag != cl[c - 1].tag) {
+          below = index.BelowPaths(tag, cl[c].tag, axis);
+        }
+        // On expiry, fail the test: lists collapse, the sweeps finish
+        // quickly, and the caller discards the result via ctx->expired.
+        if (ctx->CheckFine()) continue;
+        ++ctx->containment_tests;
+        if (below != nullptr &&
+            Intersects(below, syn_.PidBits(cl[c].pid).words().data(),
+                       path_words)) {
+          x.ok[g * n + c] = 1;
+          SetBit(ok_pids, cl[c].pid - 1);
+        }
+      }
+    }
+
+    // 2. Keep a parent iff its cover row meets its group's ok_pids; the
+    //    cover rows of the survivors are OR-ed into alive[g].
+    x.alive.assign(groups * pid_words, 0);
+    size_t kept = 0;
+    for (size_t g = 0, k = 0; g < groups; ++g) {
+      const uint64_t* ok_pids = x.ok_pids.data() + g * pid_words;
+      uint64_t* alive = x.alive.data() + g * pid_words;
+      for (; k < x.group_end[g]; ++k) {
+        const uint64_t* row = index.CoverRow(pl[k].pid);
+        if (!Intersects(row, ok_pids, pid_words)) continue;
+        bitkernel::OrWords(alive, row, pid_words);
+        pl[kept++] = pl[k];
+      }
+    }
+    pl.resize(kept);
+
+    // 3. Keep a child iff, for some group, it passed the tag test and a
+    //    surviving parent's cover row holds its pid.
+    kept = 0;
+    for (size_t c = 0; c < n; ++c) {
+      const size_t bit = cl[c].pid - 1;
+      for (size_t g = 0; g < groups; ++g) {
+        if (x.ok[g * n + c] != 0 &&
+            TestBit(x.alive.data() + g * pid_words, bit)) {
+          cl[kept++] = cl[c];
+          break;
+        }
+      }
+    }
+    cl.resize(kept);
     return pl.size() + cl.size() != before;
   };
 

@@ -77,8 +77,10 @@ class Estimator {
   /// chaos-testing its partial-failure handling.
   static constexpr std::string_view kAllocFaultSite = "estimator.alloc";
 
-  /// Number of (pid x pid) containment tests performed by path joins
-  /// since construction; exposed for the join ablation bench.
+  /// Number of tag-path tests performed by path joins since
+  /// construction: one per (parent-tag group, child candidate) per sweep
+  /// of the word-parallel join (DESIGN.md §13), not one per candidate
+  /// pair. Exposed for the join ablation bench.
   size_t containment_tests() const {
     return containment_tests_.load(std::memory_order_relaxed);
   }
@@ -121,7 +123,7 @@ class Estimator {
     /// Step/join-boundary check: reads the clock (cheap, but not free)
     /// unless the deadline is infinite or expiry already latched.
     bool CheckCoarse();
-    /// Inner-loop check for the containment-test hot path: consults the
+    /// Inner-loop check for the tag-path-test hot path: consults the
     /// clock only every 256th call.
     bool CheckFine();
   };

@@ -92,7 +92,7 @@ Synopsis Synopsis::Build(const xml::Document& doc,
       std::move(labeling.distinct_pids));
   s.table_ = std::make_shared<const encoding::EncodingTable>(
       std::move(labeling.table));
-  s.BuildReach();
+  s.DerivePathIndexes();
   return s;
 }
 
@@ -111,15 +111,18 @@ Synopsis Synopsis::PatchedClone(const Synopsis& base,
   s.pid_tree_ = base.pid_tree_;
   s.pid_bits_ = base.pid_bits_;
   s.reach_ = base.reach_;
+  s.join_index_ = base.join_index_;
   s.p_histos_ = std::move(p_histos);
   s.o_histos_ = std::move(o_histos);
   s.value_stats_ = std::move(value_stats);
   return s;
 }
 
-void Synopsis::BuildReach() {
+void Synopsis::DerivePathIndexes() {
   reach_ = std::make_shared<const encoding::TagReachability>(
       encoding::TagReachability::Build(*table_, tag_names_.size()));
+  join_index_ = std::make_shared<const encoding::PidJoinIndex>(
+      encoding::PidJoinIndex::Build(*table_, *pid_bits_, tag_names_.size()));
 }
 
 std::optional<xml::TagId> Synopsis::FindTag(const std::string& name) const {

@@ -10,6 +10,7 @@
 
 #include "common/status.h"
 #include "encoding/encoding_table.h"
+#include "encoding/join_index.h"
 #include "encoding/labeling.h"
 #include "encoding/reachability.h"
 #include "histogram/o_histogram.h"
@@ -149,6 +150,9 @@ class Synopsis {
   /// Deserialize time and shared into patched clones like the other
   /// path structures (deltas never extend the path set).
   const encoding::TagReachability& reach() const { return *reach_; }
+  /// Cover rows and tag-pair path masks of the word-parallel path-id
+  /// join (DESIGN.md §13). Derived and shared exactly like reach().
+  const encoding::PidJoinIndex& join_index() const { return *join_index_; }
 
   // --- Histograms -------------------------------------------------------
 
@@ -178,6 +182,10 @@ class Synopsis {
   size_t PathSummaryBytes() const {
     return EncodingTableBytes() + PidTreeBytes() + PHistogramBytes();
   }
+  /// Memory of the join index. A derived query-time accelerator, not
+  /// part of the paper's synopsis: kept out of PathSummaryBytes() and the
+  /// serialized blob, reported on its own in bench_table3.
+  size_t JoinIndexBytes() const { return join_index_->SizeBytes(); }
 
  private:
   Synopsis() = default;
@@ -195,9 +203,11 @@ class Synopsis {
   std::shared_ptr<const pidtree::CollapsedPidTree> pid_tree_;
   std::shared_ptr<const std::vector<PathIdBits>> pid_bits_;
   std::shared_ptr<const encoding::TagReachability> reach_;
+  std::shared_ptr<const encoding::PidJoinIndex> join_index_;
 
-  /// Derives reach_ from table_ and tag_names_; call after both are set.
-  void BuildReach();
+  /// Derives reach_ and join_index_ from table_, pid_bits_ and
+  /// tag_names_; call after all three are set.
+  void DerivePathIndexes();
 
   std::vector<histogram::PHistogram> p_histos_;  // by TagId
   std::vector<histogram::OHistogram> o_histos_;  // by TagId; empty if no order

@@ -127,8 +127,9 @@ TenantTable::TenantTable(obs::Registry* registry, size_t max)
       gen_(g_tenant_table_gen.fetch_add(1, std::memory_order_relaxed)) {}
 
 namespace {
-/// Small nonzero per-thread id for lane ownership claims.
-uint32_t LaneThreadId() {
+/// Small nonzero per-thread id for lane ownership claims (unused under
+/// XEE_OBS_OFF, which compiles the lanes out).
+[[maybe_unused]] uint32_t LaneThreadId() {
   static std::atomic<uint32_t> next{1};
   thread_local const uint32_t id =
       next.fetch_add(1, std::memory_order_relaxed);

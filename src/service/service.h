@@ -144,8 +144,11 @@ struct ServiceOptions {
   /// cardinality cannot grow the registry. 0 disables the dimension.
   size_t tenant_max = 32;
   /// Declarative SLOs evaluated by ObsTick over the time-series (see
-  /// obs/slo.h and DefaultSloSpecs below); empty = no SLO engine.
-  std::vector<obs::SloSpec> slos;
+  /// obs/slo.h and DefaultSloSpecs below); empty = no SLO engine. (The
+  /// explicit `{}` initializers here and on QueryRequest::deadline let
+  /// designated and positional initializers omit the member without
+  /// -Wmissing-field-initializers.)
+  std::vector<obs::SloSpec> slos{};
   /// Byte budget of the black-box flight recorder (obs/flight.h);
   /// 0 disables it.
   size_t flight_bytes = 64 * 1024;
@@ -171,7 +174,7 @@ struct QueryRequest {
   std::string xpath;     ///< XPath expression (whitespace tolerated)
   /// Per-request deadline; infinite by default. A request arriving
   /// already expired is rejected in O(1) — no snapshot, parse, or join.
-  Deadline deadline;
+  Deadline deadline{};
   /// Permit degraded answers: when order statistics are missing or the
   /// deadline cannot fit the full computation, serve the order-free
   /// estimate (tagged degraded) instead of failing. When false, such

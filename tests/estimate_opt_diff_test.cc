@@ -7,7 +7,13 @@
 //    class on ssplays, dblp and xmark, plus the paper's running example.
 //    The pins were computed by the memo-free estimator that Estimate's
 //    request-scoped join memo replaced; any change to a served bit
-//    breaks one.
+//    breaks one. Wildcard pins over `*`-bearing grammar-generated
+//    queries were computed by the pairwise join sweep that the
+//    word-parallel sweep replaced.
+//  - Join-index derivation sites: Deserialize and PatchedClone carry
+//    the index a scratch Build derives and serve the pinned bits. (The
+//    checked-in corpus blobs, which predate the index, are loaded and
+//    probed by FuzzHarness.CorpusReplayClean.)
 //  - Service level: a starved answer cache and a default one answer
 //    identical request streams identically, and synopsis swaps (epoch
 //    bumps) never let a stale entry leak through.
@@ -23,6 +29,7 @@
 
 #include <gtest/gtest.h>
 
+
 #include <array>
 #include <bit>
 #include <map>
@@ -31,7 +38,10 @@
 #include <vector>
 
 #include "datagen/datagen.h"
+#include "delta/document_delta.h"
+#include "delta/live_synopsis.h"
 #include "estimator/estimator.h"
+#include "fuzz/fuzz.h"
 #include "obs/window.h"
 #include "paper_fixture.h"
 #include "service/service.h"
@@ -111,38 +121,116 @@ Pin PinOf(const estimator::Estimator& est,
   return {queries.size(), xpath::StableHash64(bytes)};
 }
 
-TEST(EstimateOptDiff, CompiledPathsMatchUnoptimizedEstimatorOnWorkload) {
-  const struct {
-    const char* dataset;
-    int cls;  // simple, branch, order-branch, order-trunk
-    Pin pin;
-  } kPins[] = {
-      {"ssplays", 0, {40, 0x61c631524c2827c7ull}},
-      {"ssplays", 1, {54, 0xfec547628d12e557ull}},
-      {"ssplays", 2, {17, 0x18f1b48cec537f69ull}},
-      {"ssplays", 3, {16, 0xaa19492b442202daull}},
-      {"dblp", 0, {41, 0x076cc67386d29fedull}},
-      {"dblp", 1, {58, 0x3bdcfdd9bdd6311full}},
-      {"dblp", 2, {55, 0xfbc05dc2b1f0c253ull}},
-      {"dblp", 3, {55, 0x2f6428048e5696aaull}},
-      {"xmark", 0, {57, 0xeba6930a2015413aull}},
-      {"xmark", 1, {57, 0x7261c8883f9046d3ull}},
-      {"xmark", 2, {27, 0xa2cc87337e23c4c8ull}},
-      {"xmark", 3, {27, 0xf58d62e3164bf6fbull}},
-  };
-  for (const auto& [dataset, cls, want] : kPins) {
-    const Corpus& c = CorpusFor(dataset);
-    const workload::Workload& w = c.workload;
+constexpr struct {
+  const char* dataset;
+  int cls;  // simple, branch, order-branch, order-trunk
+  Pin pin;
+} kWorkloadPins[] = {
+    {"ssplays", 0, {40, 0x61c631524c2827c7ull}},
+    {"ssplays", 1, {54, 0xfec547628d12e557ull}},
+    {"ssplays", 2, {17, 0x18f1b48cec537f69ull}},
+    {"ssplays", 3, {16, 0xaa19492b442202daull}},
+    {"dblp", 0, {41, 0x076cc67386d29fedull}},
+    {"dblp", 1, {58, 0x3bdcfdd9bdd6311full}},
+    {"dblp", 2, {55, 0xfbc05dc2b1f0c253ull}},
+    {"dblp", 3, {55, 0x2f6428048e5696aaull}},
+    {"xmark", 0, {57, 0xeba6930a2015413aull}},
+    {"xmark", 1, {57, 0x7261c8883f9046d3ull}},
+    {"xmark", 2, {27, 0xa2cc87337e23c4c8ull}},
+    {"xmark", 3, {27, 0xf58d62e3164bf6fbull}},
+};
+
+// Checks the workload pins of `dataset` against estimates over `syn`,
+// a synopsis of CorpusFor(dataset).doc however it was obtained.
+void ExpectWorkloadPins(const std::string& dataset,
+                        const estimator::Synopsis& syn, const char* what) {
+  const workload::Workload& w = CorpusFor(dataset).workload;
+  for (const auto& [pin_dataset, cls, want] : kWorkloadPins) {
+    if (dataset != pin_dataset) continue;
     std::vector<xpath::Query> queries;
     for (const workload::WorkloadQuery& wq :
          *std::to_array({&w.simple, &w.branch, &w.order_branch_target,
                          &w.order_trunk_target})[cls]) {
       queries.push_back(wq.query);
     }
-    const estimator::Synopsis syn = estimator::Synopsis::Build(c.doc, {});
     const Pin got = PinOf(estimator::Estimator(syn), queries);
-    EXPECT_EQ(got.count, want.count) << dataset << " class " << cls;
-    EXPECT_EQ(got.hash, want.hash) << dataset << " class " << cls;
+    const std::string where =
+        std::string(what) + " " + dataset + " class " + std::to_string(cls);
+    EXPECT_EQ(got.count, want.count) << where;
+    EXPECT_EQ(got.hash, want.hash) << where;
+  }
+}
+
+TEST(EstimateOptDiff, CompiledPathsMatchUnoptimizedEstimatorOnWorkload) {
+  for (const char* dataset : {"ssplays", "dblp", "xmark"}) {
+    ExpectWorkloadPins(dataset,
+                       estimator::Synopsis::Build(CorpusFor(dataset).doc, {}),
+                       "build");
+  }
+}
+
+// The join index is derived, not stored: Deserialize and PatchedClone
+// must end up with exactly the rows and masks a scratch Build derives,
+// and serve the pinned bits.
+TEST(EstimateOptDiff, JoinIndexDerivationSitesMatchScratchBuild) {
+  for (const char* dataset : {"ssplays", "dblp", "xmark"}) {
+    const Corpus& c = CorpusFor(dataset);
+    const estimator::Synopsis built = estimator::Synopsis::Build(c.doc, {});
+
+    const Result<estimator::Synopsis> loaded =
+        estimator::Synopsis::Deserialize(built.Serialize());
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(loaded.value().join_index(), built.join_index()) << dataset;
+    ExpectWorkloadPins(dataset, loaded.value(), "deserialized");
+
+    // A clone with the base's own histograms shares the base's index.
+    std::vector<histogram::PHistogram> p_histos;
+    std::vector<histogram::OHistogram> o_histos;
+    for (xml::TagId t = 0; t < built.TagCount(); ++t) {
+      p_histos.push_back(built.PHisto(t));
+      o_histos.push_back(built.OHisto(t));
+    }
+    const estimator::Synopsis clone = estimator::Synopsis::PatchedClone(
+        built, std::move(p_histos), std::move(o_histos),
+        *built.value_stats());
+    EXPECT_EQ(&clone.join_index(), &built.join_index()) << dataset;
+    ExpectWorkloadPins(dataset, clone, "patched clone");
+
+    // A sibling-clone delta publishes a PatchedClone of the base; its
+    // (shared) index must equal the one a scratch build of the mutated
+    // document derives, and so must every estimate.
+    datagen::GenOptions gopt;
+    gopt.scale = 0.03;
+    delta::LiveDocument live(datagen::GenerateByName(dataset, gopt).value());
+    auto base = std::make_shared<const estimator::Synopsis>(
+        estimator::Synopsis::Build(live.doc(), {}));
+    delta::PatchOptions popt;
+    popt.error_budget = 1.0;
+    delta::LiveSynopsis patcher(base, &live, popt);
+    const std::vector<xml::NodeId> by_rank = live.PreorderNodes();
+    const xml::NodeId node = by_rank[by_rank.size() / 2];
+    delta::DocumentDelta d;
+    d.ops.push_back(delta::DeltaOp{});
+    d.ops[0].kind = delta::DeltaOp::Kind::kInsert;
+    d.ops[0].subtree = delta::SpecFromSubtree(live, node);
+    for (size_t i = 0; i < by_rank.size(); ++i) {
+      if (by_rank[i] == live.doc().Parent(node)) {
+        d.ops[0].target = static_cast<uint32_t>(i);
+      }
+    }
+    const Result<delta::ApplyResult> res = patcher.Apply(d);
+    ASSERT_TRUE(res.ok()) << res.status().ToString();
+    ASSERT_EQ(res.value().charged_nodes, 0.0) << dataset;
+    const estimator::Synopsis& patched = *res.value().synopsis;
+    const estimator::Synopsis scratch =
+        estimator::Synopsis::Build(live.Materialize(), {});
+    EXPECT_EQ(&patched.join_index(), &base->join_index()) << dataset;
+    EXPECT_EQ(patched.join_index(), scratch.join_index()) << dataset;
+    const estimator::Estimator patched_est(patched), scratch_est(scratch);
+    for (const xpath::Query& q : c.queries) {
+      ExpectSameResult(patched_est.Estimate(q), scratch_est.Estimate(q),
+                       std::string(dataset) + " " + q.ToString());
+    }
   }
 }
 
@@ -160,6 +248,56 @@ TEST(EstimateOptDiff, CompiledPathsMatchOnPaperExample) {
   const Pin got = PinOf(estimator::Estimator(syn), queries);
   EXPECT_EQ(got.count, 10u);
   EXPECT_EQ(got.hash, 0x68a7ca25f64bb629ull);
+}
+
+// `*`-bearing queries from the fuzz grammar generator over each
+// dataset's tag alphabet: the workload classes carry no wildcard steps,
+// and a `*` candidate list mixes tags, so these pins cover the join's
+// per-tag grouping. Only queries that parse and contain a `*` node are
+// kept; rejected estimates (wildcard order endpoints) pin their status.
+std::vector<xpath::Query> WildcardQueries(const xml::Document& doc,
+                                          size_t want) {
+  std::vector<std::string> tags;
+  for (size_t t = 0; t < doc.TagCount(); ++t) {
+    tags.push_back(doc.TagNameOf(static_cast<xml::TagId>(t)));
+  }
+  Rng rng(2024);
+  std::vector<xpath::Query> out;
+  while (out.size() < want) {
+    Result<xpath::Query> q =
+        xpath::ParseXPath(fuzz::GenerateQueryString(rng, tags));
+    if (!q.ok()) continue;
+    bool wildcard = false;
+    for (const auto& n : q.value().nodes) wildcard |= n.tag == "*";
+    if (wildcard) out.push_back(std::move(q).value());
+  }
+  return out;
+}
+
+TEST(EstimateOptDiff, WildcardQueriesMatchPins) {
+  const struct {
+    const char* dataset;
+    Pin pin;
+  } kPins[] = {
+      {"ssplays", {500, 0x23dc30ab01caf15bull}},
+      {"dblp", {500, 0x0dbb0416033c40eeull}},
+      {"xmark", {500, 0x78347a77e0eb4ad6ull}},
+  };
+  for (const auto& [dataset, want] : kPins) {
+    const Corpus& c = CorpusFor(dataset);
+    const estimator::Synopsis syn = estimator::Synopsis::Build(c.doc, {});
+    const Pin got =
+        PinOf(estimator::Estimator(syn), WildcardQueries(c.doc, want.count));
+    EXPECT_EQ(got.count, want.count) << dataset;
+    EXPECT_EQ(got.hash, want.hash) << dataset;
+    // The two-pass reducer is a full reducer on tree queries: the same
+    // survivor lists in the same order, hence the same bits.
+    estimator::Estimator two_pass(syn);
+    two_pass.set_join_to_fixpoint(false);
+    EXPECT_EQ(PinOf(two_pass, WildcardQueries(c.doc, want.count)).hash,
+              want.hash)
+        << dataset << " two-pass";
+  }
 }
 
 // --- service-level answer-cache differential --------------------------

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "datagen/datagen.h"
+#include "encoding/containment.h"
+#include "encoding/join_index.h"
+#include "encoding/labeling.h"
 #include "eval/exact_evaluator.h"
 #include "join/structural_join.h"
 #include "paper_fixture.h"
@@ -107,6 +112,64 @@ TEST_P(JoinDatasetTest, AgreesWithExactEvaluatorOnWorkload) {
       }
     }
   }
+}
+
+// The estimator's word-parallel join rests on one factorization of the
+// scalar containment test:
+//   PidPairCompatible(A, p, B, c, axis)
+//     == bit c of CoverRow(p)  AND  bits(c) ∩ BelowPaths(A, B, axis) != ∅.
+// Checked exhaustively over every (tag A, pid of an A element) x (tag B,
+// pid of a B element) x {child, descendant}; PidPairCompatible is the
+// scalar reference.
+void ExpectFactorizationExact(const xml::Document& doc) {
+  const encoding::Labeling lab = encoding::LabelDocument(doc);
+  const encoding::PidJoinIndex index = encoding::PidJoinIndex::Build(
+      lab.table, lab.distinct_pids, doc.TagCount());
+  std::vector<std::set<encoding::PidRef>> pids_of(doc.TagCount());
+  for (xml::NodeId n = 0; n < lab.node_pid_refs.size(); ++n) {
+    pids_of[doc.Tag(n)].insert(lab.node_pid_refs[n]);
+  }
+  size_t checked = 0, compatible = 0;
+  for (xml::TagId a = 0; a < doc.TagCount(); ++a) {
+    for (encoding::PidRef pa : pids_of[a]) {
+      const uint64_t* row = index.CoverRow(pa);
+      for (xml::TagId b = 0; b < doc.TagCount(); ++b) {
+        for (encoding::PidRef pb : pids_of[b]) {
+          const PathIdBits& bits_b = lab.distinct_pids[pb - 1];
+          const bool covers = ((row[(pb - 1) / 64] >> ((pb - 1) % 64)) & 1);
+          for (encoding::AxisKind axis : {encoding::AxisKind::kChild,
+                                          encoding::AxisKind::kDescendant}) {
+            const uint64_t* below = index.BelowPaths(a, b, axis);
+            bool on_path = false;
+            for (size_t w = 0; below && w < index.path_words(); ++w) {
+              on_path |= (below[w] & bits_b.words()[w]) != 0;
+            }
+            const bool want = encoding::PidPairCompatible(
+                lab.table, a, lab.distinct_pids[pa - 1], b, bits_b, axis);
+            ASSERT_EQ(covers && on_path, want)
+                << "tags " << a << "/" << b << " pids " << pa << "/" << pb
+                << " axis " << static_cast<int>(axis);
+            ++checked;
+            compatible += want;
+          }
+        }
+      }
+    }
+  }
+  // Both verdicts occur, so the comparison is not vacuous.
+  EXPECT_GT(compatible, 0u);
+  EXPECT_LT(compatible, checked);
+}
+
+TEST(PidJoinIndexTest, FactorizationMatchesScalarTestOnPaperExample) {
+  ExpectFactorizationExact(xee::testing::MakePaperDocument());
+}
+
+TEST_P(JoinDatasetTest, FactorizationMatchesScalarTest) {
+  datagen::GenOptions gopt;
+  gopt.scale = 0.1;
+  ExpectFactorizationExact(
+      datagen::GenerateByName(GetParam(), gopt).value());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDatasets, JoinDatasetTest,
