@@ -4,7 +4,7 @@
 # sampling cost instead of eyeballing stdout. One combined file carries
 # bench_service_throughput (qps + delta-scraped per-stage latency + the
 # analyzer alias-storm contrast + the accuracy-sampling sweep + the
-# service_obs2 flight-data-observability on/off overhead contrast),
+# service_obs2 instrumentation on/obs-minimal overhead contrast),
 # bench_update_throughput (incremental delta maintenance vs the
 # rebuild-per-delta and position-histogram baselines, plus estimate
 # latency quantiles with background rebuilds in flight), and the

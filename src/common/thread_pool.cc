@@ -27,13 +27,11 @@ struct PoolMetrics {
   }
 };
 
-#ifndef XEE_OBS_OFF
 uint64_t NsBetween(std::chrono::steady_clock::time_point a,
                    std::chrono::steady_clock::time_point b) {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count());
 }
-#endif
 
 }  // namespace
 
@@ -56,9 +54,7 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::Submit(std::function<void()> fn) {
   Task task{std::move(fn), {}};
-#ifndef XEE_OBS_OFF
   task.enqueued = std::chrono::steady_clock::now();
-#endif
   {
     std::lock_guard<std::mutex> lock(mu_);
     queue_.push_back(std::move(task));
@@ -105,14 +101,10 @@ void ThreadPool::WorkerLoop() {
     if (FaultFires(kSlowWorkerFaultSite, &slow_ms)) {
       std::this_thread::sleep_for(std::chrono::milliseconds(slow_ms));
     }
-#ifndef XEE_OBS_OFF
     const auto start = std::chrono::steady_clock::now();
     metrics.queue_wait_ns.Record(NsBetween(task.enqueued, start));
     task.fn();
     metrics.task_ns.Record(NsBetween(start, std::chrono::steady_clock::now()));
-#else
-    task.fn();
-#endif
   }
 }
 

@@ -48,8 +48,7 @@ class ThreadPool {
 
  private:
   /// A queued closure plus its enqueue time, so the worker can report
-  /// queue-wait latency (pool.queue_wait_ns in the global obs registry;
-  /// the timestamp is skipped entirely under XEE_OBS_OFF).
+  /// queue-wait latency (pool.queue_wait_ns in the global obs registry).
   struct Task {
     std::function<void()> fn;
     std::chrono::steady_clock::time_point enqueued;

@@ -1001,13 +1001,10 @@ Report Harness::RunChaosFuzz(const FuzzOptions& options) const {
       batch.push_back(std::move(req));
     }
 
-#ifndef XEE_OBS_OFF
     const uint64_t req_before = svc.obs().CounterValue("service.requests");
     const uint64_t shed_before =
         svc.obs().CounterValue("service.outcome", "reason=shed");
-#endif
     const auto got = svc.EstimateBatch(batch);
-#ifndef XEE_OBS_OFF
     // Metric conservation: every batch member is counted exactly once,
     // shed counter matches the shed outcomes, and with the batch done
     // (single service, no concurrent callers) nothing is left in flight.
@@ -1074,7 +1071,6 @@ Report Harness::RunChaosFuzz(const FuzzOptions& options) const {
         }
       }
     }
-#endif
     for (size_t j = 0; j < n; ++j) {
       const service::EstimateOutcome& g = got[j];
       ++rep.estimates_checked;

@@ -1,4 +1,3 @@
-#ifndef XEE_OBS_OFF
 
 #include "obs/accuracy.h"
 
@@ -320,5 +319,3 @@ std::string AccuracyTracker::ToJson() const {
 }
 
 }  // namespace xee::obs
-
-#endif  // XEE_OBS_OFF

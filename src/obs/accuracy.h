@@ -35,17 +35,16 @@
 ///     of recorded / skipped_no_document / deadline_suppressed /
 ///     backlog_suppressed / eval_error.
 ///
-/// Under XEE_OBS_OFF the whole tracker compiles to inline no-ops whose
-/// ShouldSample() is always false, so the serving layer's shadow branch
-/// is dead code and no shadow evaluation ever runs.
+/// With `sample == 0` ShouldSample() is always false, so no shadow
+/// evaluation ever runs.
 namespace xee::obs {
 
 /// The query-class label dimensions the accuracy histograms are keyed
-/// by. Plain data in both build modes (like TraceSpans): the serving
-/// layer classifies the canonical query, the tracker only renders the
-/// label. `axis` folds the order dimension in because an order
-/// constraint changes which estimation formulas run — the paper's
-/// figures split exactly along this line.
+/// by. Plain data (like TraceSpans): the serving layer classifies the
+/// canonical query, the tracker only renders the label. `axis` folds
+/// the order dimension in because an order constraint changes which
+/// estimation formulas run — the paper's figures split exactly along
+/// this line.
 struct QueryClass {
   bool order = false;       ///< any order constraint (Figs. 12/13 regime)
   bool descendant = false;  ///< any '//' axis among the steps
@@ -125,7 +124,7 @@ struct AccuracyOffender {
   uint64_t seq = 0;  ///< recording order, for stable display
 };
 
-/// Shared error math (live in both build modes, like HistogramBuckets).
+/// Shared error math, pure functions like HistogramBuckets.
 /// Both floor the operands at 1: workloads prune negative queries, but
 /// live traffic can ask queries with zero truth or get sub-1 estimates,
 /// and monitoring must not divide by zero for them.
@@ -140,8 +139,6 @@ struct AccuracyMath {
     return (estimate - truth) / t;
   }
 };
-
-#ifndef XEE_OBS_OFF
 
 /// The live tracker. Thread-safety: every method may be called
 /// concurrently; the sampling decision is one relaxed atomic, the
@@ -243,42 +240,6 @@ class AccuracyTracker {
   std::vector<AccuracyOffender> offenders_;         // guarded by mu_
   uint64_t offender_seq_ = 0;                       // guarded by mu_
 };
-
-#else  // XEE_OBS_OFF: shadow evaluation compiles out entirely.
-
-class AccuracyTracker {
- public:
-  AccuracyTracker(Registry*, AccuracyOptions options)
-      : options_(options) {}
-  AccuracyTracker(const AccuracyTracker&) = delete;
-  AccuracyTracker& operator=(const AccuracyTracker&) = delete;
-
-  bool enabled() const { return false; }
-  const AccuracyOptions& options() const { return options_; }
-  bool ShouldSample() { return false; }
-  bool TryBeginShadow() { return false; }
-  void EndShadow() {}
-  uint64_t pending() const { return 0; }
-  void SkipNoDocument() {}
-  void SuppressDeadline() {}
-  void SkipEvalError() {}
-  SynopsisAccuracy Record(const std::string&, uint64_t, const QueryClass&,
-                          std::string_view, double, double) {
-    return {};
-  }
-  std::vector<ClassAccuracy> Classes() const { return {}; }
-  std::vector<SynopsisAccuracy> Synopses() const { return {}; }
-  std::optional<SynopsisAccuracy> SynopsisState(std::string_view) const {
-    return std::nullopt;
-  }
-  std::vector<AccuracyOffender> Offenders() const { return {}; }
-  std::string ToJson() const { return "{\"enabled\":false}"; }
-
- private:
-  AccuracyOptions options_;
-};
-
-#endif  // XEE_OBS_OFF
 
 }  // namespace xee::obs
 

@@ -1,4 +1,3 @@
-#ifndef XEE_OBS_OFF
 
 #include "obs/flight.h"
 
@@ -134,5 +133,3 @@ std::string FlightRecorder::ToJson(size_t max_events) const {
 }
 
 }  // namespace xee::obs
-
-#endif  // XEE_OBS_OFF

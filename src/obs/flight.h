@@ -32,8 +32,6 @@
 /// enters the ring; events carry 32-bit ids from a bounded intern
 /// table, so cardinality attacks degrade to the overflow id instead of
 /// growing memory.
-///
-/// Under XEE_OBS_OFF the recorder compiles to inline no-ops.
 namespace xee::obs {
 
 /// What one flight event describes. The a/b/c payload fields are
@@ -86,8 +84,6 @@ struct FlightEventView {
   uint64_t c = 0;
   std::string name;  ///< intern-table resolution of `a` ("" when none)
 };
-
-#ifndef XEE_OBS_OFF
 
 /// The live recorder. Thread-safety: Record/Intern from any thread;
 /// Dump/ToJson from any thread, concurrently with writers.
@@ -207,31 +203,6 @@ class FlightRecorder {
   std::unordered_map<std::string, uint32_t> string_ids_;  // guarded
   std::vector<std::string> strings_;                      // guarded
 };
-
-#else  // XEE_OBS_OFF: the recorder compiles out entirely.
-
-class FlightRecorder {
- public:
-  static constexpr size_t kShards = 8;
-  static constexpr size_t kSlotBytes = 64;
-  static constexpr uint32_t kOverflowId = 0;
-  explicit FlightRecorder(size_t, size_t = 512) {}
-  FlightRecorder(const FlightRecorder&) = delete;
-  FlightRecorder& operator=(const FlightRecorder&) = delete;
-  bool enabled() const { return false; }
-  size_t capacity() const { return 0; }
-  uint32_t Intern(std::string_view) { return kOverflowId; }
-  void Record(FlightEventType, uint32_t, uint64_t, uint64_t,
-              uint64_t = 0) {}
-  uint64_t recorded() const { return 0; }
-  std::vector<FlightEventView> Dump(size_t = 0) const { return {}; }
-  std::string ToJson(size_t = 256) const {
-    return "{\"enabled\":false,\"recorded\":0,\"capacity\":0,"
-           "\"events\":[]}";
-  }
-};
-
-#endif  // XEE_OBS_OFF
 
 }  // namespace xee::obs
 

@@ -1,4 +1,3 @@
-#ifndef XEE_OBS_OFF
 
 #include "obs/metrics.h"
 
@@ -246,5 +245,3 @@ std::string Registry::ToJson() const {
 }
 
 }  // namespace xee::obs
-
-#endif  // XEE_OBS_OFF

@@ -24,9 +24,6 @@
 ///   - Registry::Get* takes a mutex only on first use of a (name,
 ///     label) pair; callers cache the returned reference (it is stable
 ///     for the registry's lifetime).
-///   - Compiling with -DXEE_OBS_OFF turns the whole API into inline
-///     no-ops (header-only; binaries need no xee_obs symbols), for
-///     measuring the instrumentation overhead itself.
 ///
 /// Registries are instantiable — the service layer owns one per
 /// EstimationService instance so concurrent services (and tests) do not
@@ -50,8 +47,9 @@ struct HistogramSnapshot {
   uint64_t max = 0;  ///< upper bound of the highest non-empty bucket
 };
 
-/// Log-bucketed histogram math, shared by the live and no-op builds
-/// (and unit-tested against exact reference values in obs_test.cc).
+/// Log-bucketed histogram math, shared by Histogram and the windowed
+/// scraper (and unit-tested against exact reference values in
+/// obs_test.cc).
 ///
 /// Values 0..7 get exact buckets; past that, each power-of-two octave
 /// [2^k, 2^(k+1)) splits into 8 linear sub-buckets of width 2^(k-3).
@@ -81,8 +79,6 @@ struct HistogramBuckets {
            ((static_cast<uint64_t>(sub) + 1) << (k - kSubBits)) - 1;
   }
 };
-
-#ifndef XEE_OBS_OFF
 
 /// Monotonic event counter. Inc/Add are wait-free relaxed adds.
 class Counter {
@@ -225,86 +221,6 @@ class Registry {
   std::map<std::string, std::function<uint64_t()>> derived_counters_;
 };
 
-#else  // XEE_OBS_OFF: the whole API degrades to inline no-ops.
-
-class Counter {
- public:
-  void Inc() {}
-  void Add(uint64_t) {}
-  uint64_t value() const { return 0; }
-};
-
-class Gauge {
- public:
-  void Add(int64_t) {}
-  void Sub(int64_t) {}
-  void Set(int64_t) {}
-  int64_t value() const { return 0; }
-};
-
-class Histogram {
- public:
-  static constexpr int kShards = 4;
-  void Record(uint64_t) {}
-  HistogramSnapshot Snap() const { return {}; }
-};
-
-struct MetricRow {
-  enum class Kind { kCounter, kGauge, kHistogram };
-  std::string name;
-  std::string label;
-  Kind kind = Kind::kCounter;
-  uint64_t counter = 0;
-  int64_t gauge = 0;
-  HistogramSnapshot hist;
-};
-
-class Registry {
- public:
-  Registry() = default;
-  Registry(const Registry&) = delete;
-  Registry& operator=(const Registry&) = delete;
-
-  static Registry& Global() {
-    static Registry r;
-    return r;
-  }
-
-  Counter& GetCounter(std::string_view, std::string_view = {}) {
-    static Counter c;
-    return c;
-  }
-  Gauge& GetGauge(std::string_view, std::string_view = {}) {
-    static Gauge g;
-    return g;
-  }
-  Histogram& GetHistogram(std::string_view, std::string_view = {}) {
-    static Histogram h;
-    return h;
-  }
-
-  void RegisterDerivedCounter(std::string_view, std::string_view,
-                              std::function<uint64_t()>) {}
-
-  uint64_t CounterValue(std::string_view, std::string_view = {}) const {
-    return 0;
-  }
-  int64_t GaugeValue(std::string_view, std::string_view = {}) const {
-    return 0;
-  }
-  HistogramSnapshot HistogramSnap(std::string_view,
-                                  std::string_view = {}) const {
-    return {};
-  }
-
-  std::vector<MetricRow> Rows() const { return {}; }
-  std::string ToJson() const {
-    return "{\"counters\":{},\"gauges\":{},\"histograms\":{}}";
-  }
-};
-
-#endif  // XEE_OBS_OFF
-
 /// Length of the valid UTF-8 sequence starting at s[i], or 0 when the
 /// bytes there are malformed (bad lead, truncation, overlong encoding,
 /// surrogate, or > U+10FFFF). ASCII is handled by the caller.
@@ -336,8 +252,7 @@ inline size_t Utf8SequenceLen(std::string_view s, size_t i) {
 /// backslashes, control characters, and — because exporter inputs
 /// include operator-chosen registry names and raw client query strings
 /// — invalid UTF-8, replaced byte-for-byte with U+FFFD so every export
-/// stays parseable. Shared string math, live in BOTH build modes (the
-/// healthz surface renders under XEE_OBS_OFF too).
+/// stays parseable.
 inline std::string JsonEscape(std::string_view s) {
   std::string out;
   out.reserve(s.size());

@@ -1,4 +1,3 @@
-#ifndef XEE_OBS_OFF
 
 #include "obs/slo.h"
 
@@ -205,5 +204,3 @@ std::string SloEngine::ToJson() const {
 }
 
 }  // namespace xee::obs
-
-#endif  // XEE_OBS_OFF

@@ -31,7 +31,6 @@
 ///
 /// Everything is driver-clocked through the TimeSeriesStore, so a
 /// virtual-time trajectory produces bit-identical alert transitions.
-/// Under XEE_OBS_OFF the engine compiles to inline no-ops.
 namespace xee::obs {
 
 enum class SloKind : uint8_t {
@@ -105,8 +104,6 @@ struct AlertStatus {
   uint64_t since_us = 0; ///< evaluation time of the last state change
 };
 
-#ifndef XEE_OBS_OFF
-
 /// Thread-safety: Evaluate and the read-side methods may be called from
 /// any thread; one mutex guards the alert table.
 class SloEngine {
@@ -166,29 +163,6 @@ class SloEngine {
   uint64_t evaluations_ = 0;       // guarded by mu_
   TransitionHook hook_;            // guarded by mu_
 };
-
-#else  // XEE_OBS_OFF: the engine compiles out entirely.
-
-class SloEngine {
- public:
-  SloEngine(const TimeSeriesStore*, Registry*, std::vector<SloSpec>) {}
-  SloEngine(const SloEngine&) = delete;
-  SloEngine& operator=(const SloEngine&) = delete;
-  using TransitionHook = std::function<void(
-      const SloSpec&, AlertState from, AlertState to, uint64_t now_us)>;
-  void SetTransitionHook(TransitionHook) {}
-  void Evaluate(uint64_t) {}
-  uint64_t evaluations() const { return 0; }
-  std::vector<AlertStatus> Alerts() const { return {}; }
-  uint64_t TotalFired() const { return 0; }
-  uint64_t TotalResolved() const { return 0; }
-  uint64_t BurningCount() const { return 0; }
-  std::string ToJson() const {
-    return "{\"enabled\":false,\"evaluations\":0,\"alerts\":[]}";
-  }
-};
-
-#endif  // XEE_OBS_OFF
 
 }  // namespace xee::obs
 

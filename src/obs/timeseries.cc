@@ -1,4 +1,3 @@
-#ifndef XEE_OBS_OFF
 
 #include "obs/timeseries.h"
 
@@ -263,5 +262,3 @@ std::string TimeSeriesStore::ToJson(size_t max_points) const {
 }
 
 }  // namespace xee::obs
-
-#endif  // XEE_OBS_OFF

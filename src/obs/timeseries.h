@@ -30,7 +30,7 @@
 /// serving layer's ObsTick feeds wall microseconds from a scrape
 /// thread; the traffic simulator feeds virtual time, which makes whole
 /// trajectories (and the SLO alerts computed over them) replayable
-/// bit-for-bit. Under XEE_OBS_OFF the store compiles to inline no-ops.
+/// bit-for-bit.
 namespace xee::obs {
 
 /// One retained sample. Counter series store the per-interval delta
@@ -50,8 +50,6 @@ struct TimeSeriesOptions {
   /// Bound on distinct series (cardinality guard for labeled watches).
   size_t max_series = 512;
 };
-
-#ifndef XEE_OBS_OFF
 
 /// Thread-safety: all methods may be called from any thread; one mutex
 /// guards the store (scraping is periodic and read traffic is export
@@ -145,40 +143,6 @@ class TimeSeriesStore {
   uint64_t last_sample_us_ = 0;                  // guarded by mu_
   uint64_t dropped_ = 0;                         // guarded by mu_
 };
-
-#else  // XEE_OBS_OFF: the store compiles out entirely.
-
-class TimeSeriesStore {
- public:
-  TimeSeriesStore(Registry*, TimeSeriesOptions options)
-      : options_(options) {}
-  TimeSeriesStore(const TimeSeriesStore&) = delete;
-  TimeSeriesStore& operator=(const TimeSeriesStore&) = delete;
-  const TimeSeriesOptions& options() const { return options_; }
-  void WatchCounter(std::string) {}
-  void WatchCounterPrefix(std::string) {}
-  void WatchGauge(std::string) {}
-  void WatchGaugePrefix(std::string) {}
-  void WatchHistogram(std::string, Histogram*) {}
-  bool Sample(uint64_t) { return false; }
-  uint64_t samples() const { return 0; }
-  uint64_t last_sample_us() const { return 0; }
-  size_t series_count() const { return 0; }
-  uint64_t dropped_series() const { return 0; }
-  std::vector<std::string> SeriesNames() const { return {}; }
-  std::vector<TsPoint> Points(std::string_view) const { return {}; }
-  double SumOver(std::string_view, uint64_t, uint64_t) const { return 0; }
-  double MaxOver(std::string_view, uint64_t, uint64_t) const { return 0; }
-  double RatePerSec(std::string_view, uint64_t, uint64_t) const { return 0; }
-  std::string ToJson(size_t = 32) const {
-    return "{\"enabled\":false,\"samples\":0,\"series\":{}}";
-  }
-
- private:
-  TimeSeriesOptions options_;
-};
-
-#endif  // XEE_OBS_OFF
 
 }  // namespace xee::obs
 

@@ -1,4 +1,3 @@
-#ifndef XEE_OBS_OFF
 
 #include "obs/trace.h"
 
@@ -159,5 +158,3 @@ std::string TraceRing::ToJson(size_t max) const {
 }
 
 }  // namespace xee::obs
-
-#endif  // XEE_OBS_OFF

@@ -108,8 +108,6 @@ struct TraceExemplar {
   std::string outcome;
 };
 
-#ifndef XEE_OBS_OFF
-
 /// RAII stage timer: on destruction adds the elapsed nanoseconds to the
 /// span's stage slot and (when given) a stage histogram. Re-entering a
 /// stage accumulates — the cache-lookup stage times all probes of one
@@ -228,36 +226,6 @@ class TraceRing {
   uint64_t seq_ = 0;
   TraceExemplar exemplars_[kExemplarBands];  // guarded by mu_
 };
-
-#else  // XEE_OBS_OFF
-
-class ScopedStageTimer {
- public:
-  ScopedStageTimer(TraceSpans*, Stage, Histogram*, bool = true) {}
-  ScopedStageTimer(const ScopedStageTimer&) = delete;
-  ScopedStageTimer& operator=(const ScopedStageTimer&) = delete;
-};
-
-class TraceRing {
- public:
-  static constexpr int kExemplarBands =
-      HistogramBuckets::kBuckets / HistogramBuckets::kSub + 1;
-  explicit TraceRing(size_t, uint64_t = 0) {}
-  bool IsSlow(uint64_t) const { return false; }
-  void Record(TraceRecord) {}
-  std::vector<TraceRecord> Recent(size_t = SIZE_MAX) const { return {}; }
-  std::vector<TraceRecord> Tail(size_t = SIZE_MAX) const { return {}; }
-  std::vector<TraceExemplar> Exemplars() const { return {}; }
-  uint64_t recorded() const { return 0; }
-  uint64_t tail_recorded() const { return 0; }
-  uint64_t slow_threshold_ns() const { return 0; }
-  void set_slow_threshold_ns(uint64_t) {}
-  std::string ToJson(size_t = 32) const {
-    return "{\"recent\":[],\"tail\":[],\"exemplars\":[]}";
-  }
-};
-
-#endif  // XEE_OBS_OFF
 
 }  // namespace xee::obs
 

@@ -14,9 +14,7 @@
 /// returns the difference; the metrics themselves are never touched, so
 /// any number of independent scrapers can watch one registry.
 ///
-/// Not thread-safe: one scraper is one reader's cursor. Under
-/// XEE_OBS_OFF the histograms are no-ops, so windows degrade to empty
-/// snapshots exactly like Snap() does.
+/// Not thread-safe: one scraper is one reader's cursor.
 namespace xee::obs {
 
 /// Delta cursor over any monotonically increasing counter value.
@@ -35,8 +33,6 @@ class CounterWindow {
  private:
   uint64_t prev_ = 0;
 };
-
-#ifndef XEE_OBS_OFF
 
 /// Delta cursor over one Histogram: Advance returns a snapshot —
 /// count, mean, quantiles — of only the values recorded since the
@@ -64,15 +60,6 @@ class HistogramWindow {
   uint64_t prev_[HistogramBuckets::kBuckets] = {};
   uint64_t prev_sum_ = 0;
 };
-
-#else  // XEE_OBS_OFF
-
-class HistogramWindow {
- public:
-  HistogramSnapshot Advance(const Histogram&) { return {}; }
-};
-
-#endif  // XEE_OBS_OFF
 
 }  // namespace xee::obs
 

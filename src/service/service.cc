@@ -116,6 +116,17 @@ std::vector<obs::SloSpec> DefaultSloSpecs(double availability_objective,
   return specs;
 }
 
+ServiceOptions ObsMinimal(ServiceOptions opt) {
+  opt.trace_sample = 0;
+  opt.trace_capacity = 0;
+  opt.tail_retention = false;
+  opt.accuracy_sample = 0;
+  opt.ts_interval_us = 0;  // no store, so no SLO engine either
+  opt.tenant_max = 0;
+  opt.flight_bytes = 0;
+  return opt;
+}
+
 namespace {
 /// Monotonic id source for TenantTable::gen_ (memo invalidation).
 std::atomic<uint64_t> g_tenant_table_gen{1};
@@ -127,9 +138,8 @@ TenantTable::TenantTable(obs::Registry* registry, size_t max)
       gen_(g_tenant_table_gen.fetch_add(1, std::memory_order_relaxed)) {}
 
 namespace {
-/// Small nonzero per-thread id for lane ownership claims (unused under
-/// XEE_OBS_OFF, which compiles the lanes out).
-[[maybe_unused]] uint32_t LaneThreadId() {
+/// Small nonzero per-thread id for lane ownership claims.
+uint32_t LaneThreadId() {
   static std::atomic<uint32_t> next{1};
   thread_local const uint32_t id =
       next.fetch_add(1, std::memory_order_relaxed);
@@ -165,11 +175,6 @@ TenantTable::Slots* TenantTable::MakeSlots(const std::string& label_name,
 
 TenantTable::Handle TenantTable::Get(const std::string& tenant,
                                      obs::FlightRecorder* flight) {
-#ifdef XEE_OBS_OFF
-  (void)tenant;
-  (void)flight;
-  return {};
-#else
   if (max_ == 0) return {};
   // Warm path: the last answer this thread got from this table. Slots
   // are heap-allocated and never erased, so a memoized handle stays
@@ -231,7 +236,6 @@ TenantTable::Handle TenantTable::Get(const std::string& tenant,
   last.tenant = tenant;
   last.handle = Handle{found, lane};
   return last.handle;
-#endif
 }
 
 size_t TenantTable::size() const {
@@ -431,14 +435,10 @@ EstimateOutcome EstimationService::Estimate(const QueryRequest& request) {
 }
 
 bool EstimationService::ShouldTime() {
-#ifdef XEE_OBS_OFF
-  return false;  // histograms and rings are no-ops; don't read clocks
-#else
   const size_t n = options_.trace_sample;
   if (n == 1) return true;
   if (n == 0) return false;
   return trace_tick_.fetch_add(1, std::memory_order_relaxed) % n == 0;
-#endif
 }
 
 EstimateOutcome EstimationService::EstimateAdmitted(
@@ -855,14 +855,6 @@ void EstimationService::RecordTrace(const QueryRequest& req,
                                     uint64_t total_ns,
                                     const char* tail_class) {
   if (options_.trace_capacity == 0) return;
-#ifdef XEE_OBS_OFF
-  (void)req;
-  (void)outcome;
-  (void)out;
-  (void)spans;
-  (void)total_ns;
-  (void)tail_class;
-#else
   // The class counter is bumped exactly when a record enters the tail
   // ring (capacity gate above, routing in TraceRing::Record), so
   // traces().tail_recorded() == sum of the class counters — the
@@ -877,7 +869,6 @@ void EstimationService::RecordTrace(const QueryRequest& req,
   rec.degraded = out.degraded;
   if (tail_class != nullptr) rec.tail_class = tail_class;
   traces_.Record(std::move(rec));
-#endif
 }
 
 void EstimationService::FlightFaultObserver(void* ctx, std::string_view site,

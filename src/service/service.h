@@ -77,7 +77,7 @@ struct ServiceOptions {
   /// DESIGN.md §11). 1 = every request, 0 = off. The shadow runs on the
   /// worker pool after the caller's answer is complete — it never
   /// delays the reply — and never fires for shed, degraded, or failed
-  /// requests. No-op under XEE_OBS_OFF.
+  /// requests.
   size_t accuracy_sample = 256;
   /// Seed of the shadow-sampling decision; fixed seed + fixed request
   /// sequence = same sampled positions (tests pin this).
@@ -217,6 +217,15 @@ std::vector<obs::SloSpec> DefaultSloSpecs(double availability_objective,
                                           uint64_t p99_objective_ns,
                                           double qerror_objective);
 
+/// `opt` with every instrumentation surface that can be switched off
+/// switched off: no request timing and no trace ring (trace_sample =
+/// trace_capacity = 0, so no tail retention either), no shadow
+/// sampling, no time-series store or SLO engine, no per-tenant
+/// dimension and no flight recorder. Counters stay exact (they are
+/// never sampled). Served answers are the same bits as under `opt`;
+/// the obs-overhead bench arm and the obs differential test use this.
+ServiceOptions ObsMinimal(ServiceOptions opt);
+
 /// Bounded per-tenant (synopsis-name) metric slots (DESIGN.md §16). The
 /// first `max` distinct tenant names each get their own counter rows
 /// and latency histogram in the service registry; every later name
@@ -301,9 +310,8 @@ class TenantTable {
   /// The handle for `tenant`, created on first sight (the shared
   /// overflow slot once `max` names exist). `flight` may be null; when
   /// set, the tenant name is interned once and cached. Slots pointers
-  /// are stable for the table's lifetime. Always null under
-  /// XEE_OBS_OFF — the per-tenant dimension compiles out with the rest
-  /// of the metrics layer.
+  /// are stable for the table's lifetime. Always null when `max` is 0
+  /// (ServiceOptions::tenant_max = 0 switches the tenant lanes off).
   ///
   /// Warm-path cost: a per-thread memo of the last (tenant, handle)
   /// pair answers the common same-tenant-again case with one string
@@ -429,8 +437,7 @@ class EstimationService {
   /// The per-tenant slot table (see ServiceOptions::tenant_max).
   TenantTable& tenants() { return tenants_; }
 
-  /// The healthz payload, built from the registry (meaningful even
-  /// under XEE_OBS_OFF, where health simply stays "unknown"):
+  /// The healthz payload, built from the registry:
   ///   {"status":"ok"|"stale","synopses":{name:{...}},"quarantined":[...]}
   std::string HealthzJson() const;
 
@@ -540,7 +547,6 @@ class EstimationService {
 
   /// The once-per-request sampling decision (ServiceOptions::
   /// trace_sample): true when this request should be timed end to end.
-  /// Always false in an XEE_OBS_OFF build.
   bool ShouldTime();
 
   /// Pushes a completed request into the trace ring: head-sampled

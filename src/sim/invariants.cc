@@ -98,11 +98,10 @@ InvariantReport CheckDrainInvariants(const SimTotals& totals,
   const service::ServiceStatsSnapshot stats = service.Stats();
 
   // 4. In-flight gauge at zero: admission slots (real and virtual) all
-  // returned. Meaningful in both build modes (0 under XEE_OBS_OFF too).
+  // returned.
   Check(&report, "inflight-zero", stats.inflight == 0,
         Format("inflight=%" PRId64, stats.inflight));
 
-#ifndef XEE_OBS_OFF
   // 5. Obs cross-checks: the service's counters agree with the
   // simulator's independent ledger.
   Check(&report, "obs-requests", stats.requests == totals.arrivals,
@@ -147,20 +146,17 @@ InvariantReport CheckDrainInvariants(const SimTotals& totals,
           Format("started=%" PRIu64 " closed=%" PRIu64 " pending=%" PRIu64,
                  started, closed, service.accuracy().pending()));
   }
-#endif  // XEE_OBS_OFF
 
   // 7. Alert conservation (scenarios with SLOs): over the whole run,
   // every fired alert either resolved or is still burning at drain —
   // the state machine cannot lose or double-count a transition. The
   // per-alert registry counters must agree with the engine's own
-  // tallies. Trivially 0 == 0 + 0 under XEE_OBS_OFF (the stub engine),
-  // which is the correct contract for a compiled-out alerting surface.
+  // tallies.
   if (!scenario.slos.empty() && service.slo() != nullptr) {
     const uint64_t fired = service.slo()->TotalFired();
     const uint64_t resolved = service.slo()->TotalResolved();
     const uint64_t burning = service.slo()->BurningCount();
     bool counters_agree = true;
-#ifndef XEE_OBS_OFF
     obs::Registry& reg = service.obs();
     for (const obs::AlertStatus& a : service.slo()->Alerts()) {
       counters_agree =
@@ -171,7 +167,6 @@ InvariantReport CheckDrainInvariants(const SimTotals& totals,
                                             ",transition=resolved") ==
               a.resolved;
     }
-#endif  // XEE_OBS_OFF
     Check(&report, "alert-conservation",
           fired == resolved + burning && counters_agree,
           Format("fired=%" PRIu64 " resolved=%" PRIu64 " burning=%" PRIu64

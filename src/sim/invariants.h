@@ -13,8 +13,8 @@ namespace xee::sim {
 /// The simulator's own ground-truth tallies, bumped once per event on
 /// the driving thread (mutex-guarded in workers>0 mode). These are the
 /// primary conservation ledger; the service's obs counters are checked
-/// *against* them, not trusted instead of them — an XEE_OBS_OFF build
-/// still verifies conservation.
+/// *against* them, not trusted instead of them — a service with its
+/// obs surfaces switched off still verifies conservation.
 struct SimTotals {
   uint64_t arrivals = 0;
 
@@ -75,7 +75,7 @@ struct InvariantReport {
 };
 
 /// Checks every drain invariant: request conservation, slot balance, a
-/// drained engine, obs-counter cross-checks (skipped under XEE_OBS_OFF),
+/// drained engine, obs-counter cross-checks,
 /// accuracy-sample conservation, SLO alert conservation (fired ==
 /// resolved + still-burning, for scenarios with SLOs), and per-site
 /// chaos budgets. Call only

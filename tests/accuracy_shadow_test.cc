@@ -32,15 +32,6 @@
 #include "xpath/canonical.h"
 #include "xpath/parser.h"
 
-// The shadow pipeline is compiled out under XEE_OBS_OFF (that build is
-// covered by obs_off_test); everything here asserts on live sampling.
-#ifdef XEE_OBS_OFF
-#define XEE_REQUIRES_OBS() \
-  GTEST_SKIP() << "shadow sampling is a no-op; built with XEE_OBS_OFF"
-#else
-#define XEE_REQUIRES_OBS() (void)0
-#endif
-
 namespace xee::service {
 namespace {
 
@@ -77,7 +68,6 @@ ServiceOptions FullSampling() {
 }
 
 TEST(ShadowSamplingTest, RecordsTruthAndMarksHealthy) {
-  XEE_REQUIRES_OBS();
   ServiceOptions opt = FullSampling();
   opt.drift_min_samples = 4;
   EstimationService svc(opt);
@@ -103,7 +93,6 @@ TEST(ShadowSamplingTest, RecordsTruthAndMarksHealthy) {
 }
 
 TEST(ShadowSamplingTest, SampledPositionsAreSeedDeterministic) {
-  XEE_REQUIRES_OBS();
   auto run = [](uint64_t seed) {
     ServiceOptions opt;
     opt.threads = 1;
@@ -134,7 +123,6 @@ TEST(ShadowSamplingTest, SampledPositionsAreSeedDeterministic) {
 }
 
 TEST(ShadowSamplingTest, NoDocumentMeansSkipNotCrash) {
-  XEE_REQUIRES_OBS();
   EstimationService svc(FullSampling());
   svc.registry().Register(
       "paper", estimator::Synopsis::Build(testing::MakePaperDocument(), {}));
@@ -149,7 +137,6 @@ TEST(ShadowSamplingTest, NoDocumentMeansSkipNotCrash) {
 }
 
 TEST(ShadowSamplingTest, IneligibleOutcomesAreNeverSampled) {
-  XEE_REQUIRES_OBS();
   EstimationService svc(FullSampling());
   auto doc = PaperDoc();
   // Order statistics disabled: order queries served degraded.
@@ -176,7 +163,6 @@ TEST(ShadowSamplingTest, IneligibleOutcomesAreNeverSampled) {
 }
 
 TEST(ShadowSamplingTest, ExpiredDeadlineSuppressesShadowWork) {
-  XEE_REQUIRES_OBS();
   EstimationService svc(FullSampling());
   auto doc = PaperDoc();
   svc.registry().Register("paper", estimator::Synopsis::Build(*doc, {}), doc);
@@ -199,7 +185,6 @@ TEST(ShadowSamplingTest, ExpiredDeadlineSuppressesShadowWork) {
 }
 
 TEST(ShadowSamplingTest, DriftedSynopsisTripsStaleWithinGate) {
-  XEE_REQUIRES_OBS();
   ServiceOptions opt = FullSampling();
   opt.drift_min_samples = 4;
   opt.drift_qerror_limit = 2.0;
@@ -251,7 +236,6 @@ TEST(ShadowSamplingTest, DriftedSynopsisTripsStaleWithinGate) {
 }
 
 TEST(ShadowSamplingTest, StaleDowngradePolicyAppliesPr3Semantics) {
-  XEE_REQUIRES_OBS();
   ServiceOptions opt = FullSampling();
   opt.drift_min_samples = 2;
   opt.stale_downgrade = true;
@@ -298,7 +282,6 @@ TEST(ShadowSamplingTest, StaleDowngradePolicyAppliesPr3Semantics) {
 }
 
 TEST(ShadowSamplingTest, BacklogCapSuppressesInsteadOfQueueing) {
-  XEE_REQUIRES_OBS();
   ServiceOptions opt = FullSampling();
   opt.accuracy_max_pending = 1;
   EstimationService svc(opt);
@@ -327,7 +310,6 @@ TEST(ShadowSamplingTest, BacklogCapSuppressesInsteadOfQueueing) {
 // means per class, with order-free chain classes exact to <= 1e-9
 // (Theorem 4.1, serving-side).
 TEST(ShadowGoldenTest, ShadowReproducesAccuracyRegressionMeans) {
-  XEE_REQUIRES_OBS();
   bench_util::BenchConfig config;  // the recorded config (seed 42)
   config.datasets = {"ssplays"};
   std::vector<bench_util::DatasetRun> runs = bench_util::MakeDatasets(config);

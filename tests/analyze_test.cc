@@ -48,15 +48,6 @@
 #include "xpath/canonical.h"
 #include "xpath/parser.h"
 
-// Counter-asserting tests skip under a -DXEE_OBS_OFF=ON build (the
-// default build always runs them); see service_test.cc for the idiom.
-#ifdef XEE_OBS_OFF
-#define XEE_REQUIRES_OBS() \
-  GTEST_SKIP() << "asserts on metrics; built with XEE_OBS_OFF"
-#else
-#define XEE_REQUIRES_OBS() (void)0
-#endif
-
 namespace xee {
 namespace {
 
@@ -572,7 +563,6 @@ TEST(ServiceIntel, PrunedOutcomeServesExactlyZeroAndKeepsItsLabel) {
 // path all carry the label; an alias family ("/Root//B" == "//Root//B"
 // == "//B" after rewriting) is estimated once and shares one entry.
 TEST(ServiceIntel, CountersFollowTheAnswerAndAliasFamiliesShareOneEntry) {
-  XEE_REQUIRES_OBS();
   service::EstimationService svc({.threads = 1});
   svc.registry().Register("p", SharedPaperSynopsis());
   const Result<double> direct =
@@ -601,7 +591,6 @@ TEST(ServiceIntel, CountersFollowTheAnswerAndAliasFamiliesShareOneEntry) {
 }
 
 TEST(ServiceIntel, EpochBumpKillsSharedEntriesOnceAndRevalidatesPrunes) {
-  XEE_REQUIRES_OBS();
   service::EstimationService svc({.threads = 1});
   svc.registry().Register("p", SharedPaperSynopsis());
   const char* family[] = {"/Root//B", "//Root//B", "//B"};

@@ -23,9 +23,6 @@
 //    across identically configured runs (the bug where per-mode stage
 //    rows drifted 56 vs 58 came from cumulative scrapes + a parked
 //    sampling cursor).
-//
-// Everything here compiles in both obs modes; under XEE_OBS_OFF the
-// stage-count checks degenerate to comparing empty snapshots.
 
 #include <gtest/gtest.h>
 
@@ -318,6 +315,7 @@ void ExpectSameOutcomes(const std::vector<service::EstimateOutcome>& a,
     ExpectSameResult(a[i].estimate, b[i].estimate,
                      std::string(what) + " #" + std::to_string(i));
     EXPECT_EQ(a[i].degraded, b[i].degraded) << what << " #" << i;
+    EXPECT_EQ(a[i].pruned, b[i].pruned) << what << " #" << i;
   }
 }
 
@@ -351,10 +349,83 @@ TEST(EstimateOptDiff, MemoOnServiceMatchesMemoOffService) {
   for (int pass = 0; pass < 3; ++pass) {
     ExpectSameOutcomes(RunAll(starved, reqs), RunAll(def, reqs), "pass");
   }
-#ifndef XEE_OBS_OFF
   EXPECT_GT(starved.Stats().misses, 2 * reqs.size());  // re-estimated
   EXPECT_GT(def.Stats().exact_hits, reqs.size());      // served cached
-#endif
+}
+
+// Switching instrumentation off at runtime (service::ObsMinimal) must
+// not change a served bit: the same requests — full-fidelity answers,
+// order queries degraded on a synopsis without order statistics, and
+// analyzer-pruned queries — through Estimate and EstimateBatch, on the
+// miss path and the hit path, against a default service that times,
+// traces, shadow-samples against the document and keeps tenant lanes
+// and a flight recorder. The obs-minimal service must also really have
+// kept nothing.
+TEST(EstimateOptDiff, ObsMinimalServiceMatchesDefaultService) {
+  const Corpus& c = SharedCorpus();
+  auto syn = std::make_shared<const estimator::Synopsis>(
+      estimator::Synopsis::Build(c.doc, {}));
+  estimator::SynopsisOptions no_order;
+  no_order.build_order = false;
+  auto syn_no_order = std::make_shared<const estimator::Synopsis>(
+      estimator::Synopsis::Build(c.doc, no_order));
+  // Non-owning alias: the corpus outlives both services.
+  std::shared_ptr<const xml::Document> doc(
+      std::shared_ptr<const xml::Document>(), &c.doc);
+
+  std::vector<service::QueryRequest> reqs = ServiceRequests("d");
+  for (const service::QueryRequest& r : ServiceRequests("no-order")) {
+    reqs.push_back(r);
+  }
+  for (const xpath::Query& q : c.queries) {
+    reqs.push_back(service::QueryRequest{"d", q.ToString() + "/no-such-tag"});
+  }
+
+  service::ServiceOptions def_opt;
+  def_opt.threads = 2;
+  def_opt.trace_sample = 1;
+  def_opt.accuracy_sample = 1;
+  service::EstimationService def(def_opt);
+  service::EstimationService min(service::ObsMinimal(def_opt));
+  for (service::EstimationService* svc : {&def, &min}) {
+    svc->registry().Register("d", syn, doc);
+    svc->registry().Register("no-order", syn_no_order, doc);
+  }
+
+  std::vector<service::EstimateOutcome> single;
+  for (int pass = 0; pass < 2; ++pass) {  // miss path, then hit path
+    single = RunAll(def, reqs);
+    ExpectSameOutcomes(RunAll(min, reqs), single, "single");
+    ExpectSameOutcomes(min.EstimateBatch(reqs), def.EstimateBatch(reqs),
+                       "batch");
+    def.ObsTick(1'000'000 * (pass + 1));
+    min.ObsTick(1'000'000 * (pass + 1));
+  }
+  (void)def.DrainShadow();
+
+  // The corpus reaches both labels, so the comparison above covers them.
+  size_t degraded = 0, pruned = 0;
+  for (const service::EstimateOutcome& o : single) {
+    degraded += o.degraded;
+    pruned += o.pruned;
+  }
+  EXPECT_GT(degraded, 0u);
+  EXPECT_GT(pruned, 0u);
+
+  // The default service did the instrumentation work...
+  EXPECT_GT(def.traces().recorded(), 0u);
+  EXPECT_GT(def.obs().CounterValue("accuracy.samples", "phase=started"), 0u);
+  EXPECT_NE(def.flight(), nullptr);
+  EXPECT_GT(def.tenants().size(), 0u);
+  // ...and the obs-minimal one kept nothing.
+  EXPECT_EQ(min.traces().recorded(), 0u);
+  EXPECT_EQ(min.traces().tail_recorded(), 0u);
+  EXPECT_EQ(min.obs().CounterValue("accuracy.samples", "phase=started"), 0u);
+  EXPECT_EQ(min.flight(), nullptr);
+  EXPECT_EQ(min.slo(), nullptr);
+  EXPECT_EQ(min.tenants().size(), 0u);
+  // Counters are never sampled, so both services counted every request.
+  EXPECT_EQ(min.Stats().requests, def.Stats().requests);
 }
 
 TEST(EstimateOptDiff, EpochBumpNeverServesStaleMemoEntries) {
@@ -394,9 +465,7 @@ TEST(EstimateOptDiff, ConcurrentBatchesShareTheMemoRaceFree) {
     if (round == 2) svc.registry().Register("d", syn);  // epoch bump mid-run
     ExpectSameOutcomes(svc.EstimateBatch(reqs), reference, "batch");
   }
-#ifndef XEE_OBS_OFF
   EXPECT_GT(svc.Stats().exact_hits, 0u);
-#endif
 }
 
 // --- bench stage-row regression --------------------------------------
@@ -438,13 +507,11 @@ TEST(EstimateOptDiff, StageSampleCountsAreStableAcrossIdenticalRuns) {
   const std::vector<uint64_t> first = measure();
   const std::vector<uint64_t> second = measure();
   EXPECT_EQ(first, second);
-#ifndef XEE_OBS_OFF
   // The measured warm pass is probe-only: parse must not appear (its
   // presence would mean warm-up samples leaked into the window).
   EXPECT_EQ(first[static_cast<size_t>(obs::Stage::kParse)], 0u);
   EXPECT_EQ(first[static_cast<size_t>(obs::Stage::kCacheLookup)],
             reqs.size());
-#endif
 }
 
 }  // namespace

@@ -23,16 +23,6 @@
 #include "paper_fixture.h"
 #include "service/service.h"
 
-// The live-behavior asserts can't run when the obs layer compiles to
-// no-ops; a -DXEE_OBS_OFF=ON build skips them (obs_off_test covers the
-// stub contracts instead).
-#ifdef XEE_OBS_OFF
-#define XEE_REQUIRES_OBS() \
-  GTEST_SKIP() << "asserts on live observability; built with XEE_OBS_OFF"
-#else
-#define XEE_REQUIRES_OBS() (void)0
-#endif
-
 namespace xee {
 namespace {
 
@@ -53,7 +43,6 @@ using obs::TsPoint;
 // --- FlightRecorder -------------------------------------------------
 
 TEST(FlightRecorderTest, RecordsAndDumpsInSequenceOrder) {
-  XEE_REQUIRES_OBS();
   FlightRecorder flight(1 << 14);
   ASSERT_TRUE(flight.enabled());
   const uint32_t paper = flight.Intern("paper");
@@ -85,7 +74,6 @@ TEST(FlightRecorderTest, RecordsAndDumpsInSequenceOrder) {
 }
 
 TEST(FlightRecorderTest, RingBoundsAndKeepsNewest) {
-  XEE_REQUIRES_OBS();
   // 4 slots per shard. A single writer thread lands on one shard, so
   // only its newest 4 survive; the `b` payload identifies each event.
   FlightRecorder flight(FlightRecorder::kShards * FlightRecorder::kSlotBytes *
@@ -107,7 +95,6 @@ TEST(FlightRecorderTest, RingBoundsAndKeepsNewest) {
 }
 
 TEST(FlightRecorderTest, InternTableIsBoundedWithOverflowId) {
-  XEE_REQUIRES_OBS();
   FlightRecorder flight(1 << 12, /*max_strings=*/3);
   const uint32_t a = flight.Intern("tenant-a");
   const uint32_t b = flight.Intern("tenant-b");
@@ -124,7 +111,6 @@ TEST(FlightRecorderTest, InternTableIsBoundedWithOverflowId) {
 }
 
 TEST(FlightRecorderTest, ZeroBudgetDisables) {
-  XEE_REQUIRES_OBS();
   FlightRecorder flight(0);
   EXPECT_FALSE(flight.enabled());
   EXPECT_EQ(flight.capacity(), 0u);
@@ -138,7 +124,6 @@ TEST(FlightRecorderTest, ZeroBudgetDisables) {
 }
 
 TEST(FlightRecorderTest, ConcurrentRecordSmoke) {
-  XEE_REQUIRES_OBS();
   // 1024 slots *per shard*: every event survives no matter how the
   // writer threads map onto shards (4 threads take 4 consecutive
   // thread-local indices, so they land on 4 distinct shards).
@@ -166,7 +151,6 @@ TEST(FlightRecorderTest, ConcurrentRecordSmoke) {
 // --- TimeSeriesStore ------------------------------------------------
 
 TEST(TimeSeriesTest, CounterDeltaScrapeAndIntervalGating) {
-  XEE_REQUIRES_OBS();
   Registry reg;
   Counter& c = reg.GetCounter("svc.total");
   TimeSeriesOptions opt;
@@ -192,7 +176,6 @@ TEST(TimeSeriesTest, CounterDeltaScrapeAndIntervalGating) {
 }
 
 TEST(TimeSeriesTest, PrefixWatchPicksUpRowsThatAppearLater) {
-  XEE_REQUIRES_OBS();
   Registry reg;
   TimeSeriesOptions opt;
   opt.interval_us = 1'000'000;
@@ -210,7 +193,6 @@ TEST(TimeSeriesTest, PrefixWatchPicksUpRowsThatAppearLater) {
 }
 
 TEST(TimeSeriesTest, CardinalityBoundDropsExcessSeries) {
-  XEE_REQUIRES_OBS();
   Registry reg;
   TimeSeriesOptions opt;
   opt.interval_us = 1'000'000;
@@ -226,7 +208,6 @@ TEST(TimeSeriesTest, CardinalityBoundDropsExcessSeries) {
 }
 
 TEST(TimeSeriesTest, RetentionRingKeepsNewestPoints) {
-  XEE_REQUIRES_OBS();
   Registry reg;
   Counter& c = reg.GetCounter("svc.total");
   TimeSeriesOptions opt;
@@ -247,7 +228,6 @@ TEST(TimeSeriesTest, RetentionRingKeepsNewestPoints) {
 }
 
 TEST(TimeSeriesTest, WindowAggregatesSumMaxRate) {
-  XEE_REQUIRES_OBS();
   Registry reg;
   Counter& c = reg.GetCounter("svc.total");
   TimeSeriesOptions opt;
@@ -271,7 +251,6 @@ TEST(TimeSeriesTest, WindowAggregatesSumMaxRate) {
 }
 
 TEST(TimeSeriesTest, HistogramWatchExpandsToSubSeries) {
-  XEE_REQUIRES_OBS();
   Registry reg;
   obs::Histogram& h = reg.GetHistogram("svc.lat");
   TimeSeriesOptions opt;
@@ -345,7 +324,6 @@ struct SloBed {
 };
 
 TEST(SloEngineTest, AvailabilityAlertFullLifecycle) {
-  XEE_REQUIRES_OBS();
   SloBed bed;
   EXPECT_EQ(bed.Tick(1'000'000, 100, 0), AlertState::kInactive);
   // 50% errors: fast burn 5.0 >= 2, slow burn 2.5 >= 1 -> fires.
@@ -372,7 +350,6 @@ TEST(SloEngineTest, AvailabilityAlertFullLifecycle) {
 }
 
 TEST(SloEngineTest, MultiWindowGuardDelaysFiringUntilSlowWindowBurns) {
-  XEE_REQUIRES_OBS();
   SloBed bed(/*fast_burn=*/2.0, /*slow_burn=*/4.0);
   EXPECT_EQ(bed.Tick(1'000'000, 100, 0), AlertState::kInactive);
   // Fast window burns at 5.0 immediately, but the slow window still
@@ -389,7 +366,6 @@ TEST(SloEngineTest, MultiWindowGuardDelaysFiringUntilSlowWindowBurns) {
 }
 
 TEST(SloEngineTest, TransitionHookSeesEveryEdge) {
-  XEE_REQUIRES_OBS();
   SloBed bed;
   std::vector<std::pair<AlertState, AlertState>> edges;
   bed.slo.SetTransitionHook([&edges](const SloSpec& spec, AlertState from,
@@ -413,7 +389,6 @@ TEST(SloEngineTest, TransitionHookSeesEveryEdge) {
 }
 
 TEST(SloEngineTest, ThresholdKindTracksWorstLevelInWindow) {
-  XEE_REQUIRES_OBS();
   Registry reg;
   Gauge& level = reg.GetGauge("svc.level");
   TimeSeriesOptions opt;
@@ -457,7 +432,6 @@ estimator::Synopsis PaperSynopsis() {
 /// so the ring's tail_recorded() equals the sum over classes and no
 /// request is double-retained across the recent/tail rings.
 TEST(ServiceFlightTest, TailRetentionConservesAcrossOutcomeClasses) {
-  XEE_REQUIRES_OBS();
   service::ServiceOptions opt;
   opt.threads = 1;
   opt.max_inflight = 1;
@@ -514,7 +488,6 @@ TEST(ServiceFlightTest, TailRetentionConservesAcrossOutcomeClasses) {
 /// timed), tail retention still captures every bad outcome — the whole
 /// point of deciding at completion time.
 TEST(ServiceFlightTest, TailRetentionSurvivesZeroHeadSampling) {
-  XEE_REQUIRES_OBS();
   service::ServiceOptions opt;
   opt.threads = 1;
   opt.trace_sample = 0;
@@ -536,7 +509,6 @@ TEST(ServiceFlightTest, TailRetentionSurvivesZeroHeadSampling) {
 }
 
 TEST(ServiceFlightTest, DisablingTailRetentionRestoresHeadSamplingOnly) {
-  XEE_REQUIRES_OBS();
   service::ServiceOptions opt;
   opt.threads = 1;
   opt.trace_sample = 0;
@@ -550,7 +522,6 @@ TEST(ServiceFlightTest, DisablingTailRetentionRestoresHeadSamplingOnly) {
 }
 
 TEST(ServiceFlightTest, FlightRingRecordsRequestShedAndFaultEvents) {
-  XEE_REQUIRES_OBS();
   service::ServiceOptions opt;
   opt.threads = 1;
   opt.max_inflight = 1;
@@ -593,7 +564,6 @@ TEST(ServiceFlightTest, FlightRingRecordsRequestShedAndFaultEvents) {
 }
 
 TEST(ServiceFlightTest, ObsTickDrivesSlosAndAlertsReachFlightRing) {
-  XEE_REQUIRES_OBS();
   service::ServiceOptions opt;
   opt.threads = 1;
   opt.trace_sample = 0;
@@ -638,7 +608,6 @@ TEST(ServiceFlightTest, ObsTickDrivesSlosAndAlertsReachFlightRing) {
 }
 
 TEST(ServiceFlightTest, PerTenantRowsAreBoundedWithOverflowSlot) {
-  XEE_REQUIRES_OBS();
   service::ServiceOptions opt;
   opt.threads = 1;
   opt.trace_sample = 0;

@@ -18,17 +18,6 @@
 #include "xpath/canonical.h"
 #include "xpath/parser.h"
 
-// Tests that assert on metric values (cache outcome counters, shed /
-// degraded counts) can't run when the obs layer is compiled to no-ops;
-// a -DXEE_OBS_OFF=ON build skips them (the default build — the tier-1
-// gate — always runs them).
-#ifdef XEE_OBS_OFF
-#define XEE_REQUIRES_OBS() \
-  GTEST_SKIP() << "asserts on metrics; built with XEE_OBS_OFF"
-#else
-#define XEE_REQUIRES_OBS() (void)0
-#endif
-
 namespace xee::service {
 namespace {
 
@@ -77,7 +66,6 @@ TEST(ServiceTest, UnknownSynopsisIsNotFound) {
 }
 
 TEST(ServiceTest, MatchesDirectEstimatorAndCountsCacheOutcomes) {
-  XEE_REQUIRES_OBS();
   // trace_sample = 1 times every request, so the request histogram's
   // count is exact (the default samples 1-in-16).
   EstimationService svc({.threads = 1, .trace_sample = 1});
@@ -111,7 +99,6 @@ TEST(ServiceTest, MatchesDirectEstimatorAndCountsCacheOutcomes) {
 }
 
 TEST(ServiceTest, SemanticallyEqualSpellingsShareOnePlan) {
-  XEE_REQUIRES_OBS();
   EstimationService svc({.threads = 1});
   svc.registry().Register("paper", PaperSynopsis());
 
@@ -128,7 +115,6 @@ TEST(ServiceTest, SemanticallyEqualSpellingsShareOnePlan) {
 }
 
 TEST(ServiceTest, MemoizesUnsupportedErrors) {
-  XEE_REQUIRES_OBS();
   EstimationService svc({.threads = 1});
   svc.registry().Register("paper", PaperSynopsis());
   const char* q = "//A/*/following-sibling::C";  // wildcard order endpoint
@@ -199,7 +185,6 @@ TEST(ServiceTest, SwapServesNewVersionWhileOldSnapshotsSurvive) {
 }
 
 TEST(ServiceTest, CompiledPlansMatchUncompiledEstimates) {
-  XEE_REQUIRES_OBS();
   // Miss, canonical hit and exact hit all serve a direct Estimate's
   // bits, errors included.
   EstimationService svc({.threads = 1});
@@ -222,7 +207,6 @@ TEST(ServiceTest, CompiledPlansMatchUncompiledEstimates) {
 }
 
 TEST(ServiceTest, BatchMatchesSequentialBitForBit) {
-  XEE_REQUIRES_OBS();
   EstimationService svc({.threads = 4});
   estimator::Synopsis reference = PaperSynopsis();
   svc.registry().Register("paper", PaperSynopsis());
@@ -253,7 +237,6 @@ TEST(ServiceTest, BatchMatchesSequentialBitForBit) {
 }
 
 TEST(ServiceTest, ConcurrentHammerMatchesSingleThreadedRuns) {
-  XEE_REQUIRES_OBS();
   // 8 client threads hammer single-call and batch paths against two
   // synopses while plans cache and evict; every result must equal the
   // single-threaded reference bit-for-bit. Run under TSan via
@@ -329,7 +312,6 @@ TEST(ServiceTest, ResolvedThreadsNeverReturnsZero) {
 }
 
 TEST(ServiceTest, ExpiredDeadlineRejectsBeforeAnyWork) {
-  XEE_REQUIRES_OBS();
   EstimationService svc({.threads = 1});
   svc.registry().Register("paper", PaperSynopsis());
 
@@ -365,7 +347,6 @@ TEST(ServiceTest, EstimatorHonorsDeadlineLimits) {
 }
 
 TEST(ServiceTest, BatchBeyondInflightCapShedsDeterministically) {
-  XEE_REQUIRES_OBS();
   EstimationService svc({.threads = 1, .max_inflight = 2,
                          .retry_after_ms = 2});
   svc.registry().Register("paper", PaperSynopsis());
@@ -395,7 +376,6 @@ TEST(ServiceTest, BatchBeyondInflightCapShedsDeterministically) {
 }
 
 TEST(ServiceTest, CorruptBlobQuarantinesUntilGoodVersionArrives) {
-  XEE_REQUIRES_OBS();
   EstimationService svc({.threads = 1});
   const std::string good = PaperSynopsis().Serialize();
   svc.registry().Register("paper", PaperSynopsis());
@@ -430,7 +410,6 @@ TEST(ServiceTest, CorruptBlobQuarantinesUntilGoodVersionArrives) {
 }
 
 TEST(ServiceTest, CorruptOrderSectionDegradesInsteadOfDying) {
-  XEE_REQUIRES_OBS();
   xml::Document doc = testing::MakePaperDocument();
   estimator::SynopsisOptions with_order;
   with_order.build_values = false;
@@ -493,7 +472,6 @@ TEST(ServiceTest, CorruptOrderSectionDegradesInsteadOfDying) {
 }
 
 TEST(ServiceTest, MissingOrderStatsDegradeOrderQueries) {
-  XEE_REQUIRES_OBS();
   estimator::SynopsisOptions no_order;
   no_order.build_order = false;
   EstimationService svc({.threads = 1});
@@ -658,7 +636,6 @@ TEST(ServiceTest, ConcurrentRegistryChaosUnderFaultInjection) {
 // --- answer cache (DESIGN.md §7) ------------------------------------
 
 TEST(ServiceTest, MemoServesRepeatsAfterPlanEviction) {
-  XEE_REQUIRES_OBS();
   // Answers are ~100-byte entries: a 4 KB budget, once barely two
   // compiled plans, holds every answer and alias of the paper queries,
   // so the repeat pass never re-estimates.
@@ -680,7 +657,6 @@ TEST(ServiceTest, MemoServesRepeatsAfterPlanEviction) {
 }
 
 TEST(ServiceTest, MemoDisabledByZeroBudgetStaysCorrect) {
-  XEE_REQUIRES_OBS();
   EstimationService svc({.plan_cache_bytes = 0, .cache_shards = 1,
                          .threads = 1});
   estimator::Synopsis reference = PaperSynopsis();
@@ -694,7 +670,6 @@ TEST(ServiceTest, MemoDisabledByZeroBudgetStaysCorrect) {
 }
 
 TEST(ServiceTest, MemoEntriesDieWithTheirEpoch) {
-  XEE_REQUIRES_OBS();
   EstimationService svc({.threads = 1});
   svc.registry().Register("paper", PaperSynopsis());
   (void)svc.Estimate("paper", "//A/B");
@@ -710,7 +685,6 @@ TEST(ServiceTest, MemoEntriesDieWithTheirEpoch) {
 }
 
 TEST(ServiceTest, DegradedMemoNeverLeaksIntoStrictRequests) {
-  XEE_REQUIRES_OBS();
   estimator::SynopsisOptions no_order;
   no_order.build_order = false;
   EstimationService svc({.threads = 1});
@@ -745,7 +719,6 @@ TEST(ServiceTest, DegradedMemoNeverLeaksIntoStrictRequests) {
 }
 
 TEST(ServiceTest, ClearPlanCacheAlsoClearsTheMemo) {
-  XEE_REQUIRES_OBS();
   EstimationService svc({.threads = 1});
   svc.registry().Register("paper", PaperSynopsis());
   (void)svc.Estimate("paper", "//A/B");
@@ -759,7 +732,6 @@ TEST(ServiceTest, ClearPlanCacheAlsoClearsTheMemo) {
 }
 
 TEST(ServiceTest, RespelledRepeatIsAnExactHit) {
-  XEE_REQUIRES_OBS();
   EstimationService svc;  // production defaults
   svc.registry().Register("paper", PaperSynopsis());
   ASSERT_TRUE(svc.Estimate("paper", "//A/B/D").ok());

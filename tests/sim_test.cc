@@ -277,7 +277,6 @@ TEST(FaultWindowTest, ResetRewindsScheduleClock) {
 
 // ------------------------------------------------------ windowed scraping
 
-#ifndef XEE_OBS_OFF
 TEST(ObsWindowTest, CounterWindowReturnsDeltas) {
   obs::CounterWindow w;
   EXPECT_EQ(w.Advance(5), 5u);
@@ -300,7 +299,6 @@ TEST(ObsWindowTest, HistogramWindowSnapshotsOnlyTheDelta) {
   // The delta's quantiles describe only the new sample.
   EXPECT_GE(second.p50, 900u);
 }
-#endif  // XEE_OBS_OFF
 
 // ------------------------------------------- service shed attribution
 
@@ -327,14 +325,12 @@ TEST(ShedAttributionTest, SingleAndBatchShedsAreAttributed) {
   EXPECT_EQ(batch_shed, 3u);
   svc.ReleaseInflightSlot();
 
-#ifndef XEE_OBS_OFF
   const auto stats = svc.Stats();
   EXPECT_EQ(stats.shed, 4u);
   EXPECT_EQ(stats.shed_single, 1u);
   EXPECT_EQ(stats.shed_batch, 3u);
   EXPECT_EQ(stats.retry_after_ms.count, 4u);
   EXPECT_EQ(stats.inflight, 0);
-#endif
 }
 
 TEST(ShedAttributionTest, HoldRespectsBudgetAndUnboundedIsNoop) {
@@ -421,7 +417,6 @@ TEST(SimulatorTest, AnalyzerOnAndOffShareOneFingerprint) {
   EXPECT_GT(on.totals.arrivals, 50u);
   EXPECT_EQ(on.fingerprint, off.fingerprint);
 
-#ifndef XEE_OBS_OFF
   // The storm's grammar families include impossible tag edges, so the
   // on-arm must actually prune; the off-arm must never report one.
   uint64_t pruned_on = 0, pruned_off = 0;
@@ -431,7 +426,6 @@ TEST(SimulatorTest, AnalyzerOnAndOffShareOneFingerprint) {
   }
   EXPECT_GT(pruned_on, 0u);
   EXPECT_EQ(pruned_off, 0u);
-#endif
 }
 
 TEST(SimulatorTest, ChaosScenarioIsDeterministicAndBudgeted) {
@@ -475,7 +469,6 @@ TEST(SimulatorTest, SloBurnFiresResolvesAndConserves) {
   EXPECT_TRUE(r.ok()) << r.invariants.Summary();
   EXPECT_GT(r.totals.arrivals, 50u);
   EXPECT_GT(r.totals.shed, 0u);
-#ifndef XEE_OBS_OFF
   uint64_t fired = 0, resolved = 0;
   for (const sim::WindowRow& w : r.trajectory) {
     fired += w.alerts_fired;
@@ -483,7 +476,6 @@ TEST(SimulatorTest, SloBurnFiresResolvesAndConserves) {
   }
   EXPECT_GE(fired, 1u);  // the burst burned the budget
   EXPECT_EQ(fired, resolved + r.trajectory.back().alerts_burning);
-#endif
 }
 
 TEST(SimulatorTest, SloBurnAlertTrajectoryIsDeterministic) {

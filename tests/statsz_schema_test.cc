@@ -15,13 +15,6 @@
 #include "paper_fixture.h"
 #include "service/service.h"
 
-#ifdef XEE_OBS_OFF
-#define XEE_REQUIRES_OBS() \
-  GTEST_SKIP() << "exports render empty under XEE_OBS_OFF"
-#else
-#define XEE_REQUIRES_OBS() (void)0
-#endif
-
 namespace xee::service {
 namespace {
 
@@ -75,7 +68,6 @@ class StatszSchemaTest : public ::testing::Test {
 };
 
 TEST_F(StatszSchemaTest, TopLevelSectionsAndScrapedKeys) {
-  XEE_REQUIRES_OBS();
   Result<Value> parsed = json::Parse(svc_->StatszJson());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   const Value& root = parsed.value();
@@ -144,7 +136,6 @@ TEST_F(StatszSchemaTest, TopLevelSectionsAndScrapedKeys) {
 }
 
 TEST_F(StatszSchemaTest, AccuracySectionSchema) {
-  XEE_REQUIRES_OBS();
   Result<Value> parsed = json::Parse(svc_->StatszJson());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   const Value& acc = *MustFind(parsed.value(), "accuracy");
@@ -208,7 +199,6 @@ TEST_F(StatszSchemaTest, AccuracySectionSchema) {
 }
 
 TEST_F(StatszSchemaTest, TracezSchema) {
-  XEE_REQUIRES_OBS();
   Result<Value> parsed = json::Parse(svc_->traces().ToJson());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   const Value& root = parsed.value();
@@ -236,7 +226,6 @@ TEST_F(StatszSchemaTest, TracezSchema) {
 }
 
 TEST_F(StatszSchemaTest, TszSchema) {
-  XEE_REQUIRES_OBS();
   Result<Value> parsed = json::Parse(svc_->TszJson());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   const Value& root = parsed.value();
@@ -265,7 +254,6 @@ TEST_F(StatszSchemaTest, TszSchema) {
 }
 
 TEST_F(StatszSchemaTest, AlertzSchema) {
-  XEE_REQUIRES_OBS();
   Result<Value> parsed = json::Parse(svc_->AlertzJson());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   const Value& root = parsed.value();
@@ -293,7 +281,6 @@ TEST_F(StatszSchemaTest, AlertzSchema) {
 }
 
 TEST_F(StatszSchemaTest, FlightzSchema) {
-  XEE_REQUIRES_OBS();
   Result<Value> parsed = json::Parse(svc_->FlightzJson());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   const Value& root = parsed.value();
@@ -318,7 +305,6 @@ TEST_F(StatszSchemaTest, FlightzSchema) {
 }
 
 TEST_F(StatszSchemaTest, TailRetentionCountersExport) {
-  XEE_REQUIRES_OBS();
   Result<Value> parsed = json::Parse(svc_->StatszJson());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   const Value& counters = *MustFind(parsed.value(), "counters");
@@ -330,8 +316,6 @@ TEST_F(StatszSchemaTest, TailRetentionCountersExport) {
 }
 
 TEST_F(StatszSchemaTest, HealthzSchema) {
-  // Healthz is registry-driven and meaningful even under XEE_OBS_OFF
-  // (health stays "unknown" there), so no XEE_REQUIRES_OBS.
   Result<Value> parsed = json::Parse(svc_->HealthzJson());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   const Value& root = parsed.value();
