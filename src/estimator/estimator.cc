@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <map>
+#include <deque>
 #include <set>
 
 #include "encoding/containment.h"
@@ -60,53 +60,47 @@ Status DeadlineError(const char* when) {
                 std::string("deadline expired ") + when);
 }
 
-/// Injective serialization of everything PathJoin reads from a query:
-/// the node structure (tag, axis, parent) and the root mode. Orders,
-/// target, and value filters do not influence the join, so subqueries
-/// differing only there share a memo slot.
-std::string JoinStructureKey(const Query& q) {
-  std::string key;
-  key.reserve(q.nodes.size() * 12);
-  key.push_back(q.root_mode == RootMode::kAbsolute ? 'A' : 'R');
-  for (const auto& n : q.nodes) {
-    key.push_back(n.axis == StructAxis::kChild ? 'c' : 'd');
-    key += std::to_string(n.parent);
-    key.push_back(':');
-    key += std::to_string(n.tag.size());
-    key.push_back(':');
-    key += n.tag;
+/// The tag ids of `sub`'s nodes, carried over from `tags` (its parent
+/// query's) through the old-to-new node map SubQuery returned.
+std::vector<xml::TagId> SubTags(const std::vector<xml::TagId>& tags,
+                                const std::vector<int>& map,
+                                const Query& sub) {
+  std::vector<xml::TagId> out(sub.nodes.size());
+  for (size_t i = 0; i < map.size(); ++i) {
+    if (map[i] >= 0) out[map[i]] = tags[i];
   }
-  return key;
+  return out;
 }
 
 }  // namespace
 
 struct Estimator::JoinMemo {
   struct Entry {
+    /// Everything PathJoin reads from a query: the root mode, then one
+    /// word per node packing (resolved tag id, parent + 1, axis). Orders,
+    /// target and value filters do not influence the join, so subqueries
+    /// differing only there share an entry.
+    std::vector<uint64_t> key;
     bool ok = false;
     std::vector<CandList> cands;
   };
-  std::map<std::string, Entry> by_structure;
-  /// Buffers of the join sweeps, reused across the call's sweeps.
+  /// A handful of entries per call, so a linear scan finds them; a deque
+  /// keeps handed-out survivor lists in place as entries are appended.
+  std::deque<Entry> entries;
+  /// The key being looked up, reused across the call's PathJoins.
+  std::vector<uint64_t> key;
+  /// Buffers of the join's half-sweeps, reused across the call's sweeps.
   struct Scratch {
     std::vector<size_t> group_end;  // end index of each parent-tag group
-    std::vector<uint8_t> ok;        // tag test per (group, child)
-    std::vector<uint64_t> ok_pids;  // per group: pids of passing children
-    std::vector<uint64_t> alive;    // per group: OR of survivors' cover rows
+    std::vector<uint8_t> passed;    // per child: kept by the half-sweep
+    std::vector<uint64_t> ok_pids;  // pids of children passing one group
+    std::vector<uint64_t> alive;    // per group: OR of parents' cover rows
   } scratch;
 };
 
 bool Estimator::RunCtx::CheckCoarse() {
   if (expired) return true;
   if (deadline.infinite()) return false;
-  expired = deadline.HasExpired();
-  return expired;
-}
-
-bool Estimator::RunCtx::CheckFine() {
-  if (expired) return true;
-  if (deadline.infinite()) return false;
-  if ((++ticks & 0xFF) != 0) return false;
   expired = deadline.HasExpired();
   return expired;
 }
@@ -118,7 +112,13 @@ Result<double> Estimator::Estimate(const Query& query,
   ctx.join_memo = &memo;
   ctx.timed = limits.timed && limits.trace != nullptr;
   if (ctx.CheckCoarse()) return DeadlineError("before estimation began");
-  Result<double> r = EstimateImpl(query, &ctx);
+  Status s = query.Validate();
+  if (!s.ok()) return s;  // nothing counted yet
+  // Tags resolve once per call; every subquery the formula walk derives
+  // carries its ids over from here.
+  std::vector<xml::TagId> tags;
+  Result<double> r =
+      ResolveTags(query, &tags) ? EstimateImpl(query, tags, &ctx) : 0.0;
   FlushCounters(ctx, limits);
   // Partial values computed under an expired deadline are garbage; the
   // latched flag wins over whatever bubbled up.
@@ -154,12 +154,9 @@ void Estimator::FlushCounters(const RunCtx& ctx,
   }
 }
 
-Result<double> Estimator::EstimateImpl(const Query& query, RunCtx* ctx) const {
-  Status s = query.Validate();
-  if (!s.ok()) return s;
-  std::vector<xml::TagId> tags;
-  if (!ResolveTags(query, &tags)) return 0.0;
-
+Result<double> Estimator::EstimateImpl(const Query& query,
+                                       const std::vector<xml::TagId>& tags,
+                                       RunCtx* ctx) const {
   // Value predicates (extension): estimate the structure-only query and
   // scale by the per-node text selectivities under independence. Built
   // without value statistics, filters are ignored (factor 1).
@@ -187,20 +184,20 @@ Result<double> Estimator::EstimateImpl(const Query& query, RunCtx* ctx) const {
       if (factor <= 0) return 0.0;
       Query structural = query;
       for (auto& n : structural.nodes) n.value_filter.reset();
-      Result<double> base = EstimateImpl(structural, ctx);
+      Result<double> base = EstimateImpl(structural, tags, ctx);
       if (!base.ok()) return base;
       return base.value() * factor;
     }
   }
 
-  if (query.orders.empty()) return EstimateNoOrder(query, ctx);
+  if (query.orders.empty()) {
+    return EstimateNoOrder(query, tags, query.target, ctx);
+  }
   if (query.orders.size() > 1) {
     // Extension beyond the paper (which evaluates one order axis per
     // query): assume constraints filter independently and compose the
     // per-constraint ratios S_arrow(Q | c_i) / S(Q).
-    Query base = query;
-    base.orders.clear();
-    const double s_q = EstimateNoOrder(base, ctx);
+    const double s_q = EstimateNoOrder(query, tags, query.target, ctx);
     if (s_q <= 0) return 0.0;
     // Sorted multiplication: canonicalization reorders the constraint
     // list, and the ratio product must not depend on that order (see the
@@ -210,7 +207,7 @@ Result<double> Estimator::EstimateImpl(const Query& query, RunCtx* ctx) const {
     for (const OrderConstraint& c : query.orders) {
       Query one = query;
       one.orders = {c};
-      Result<double> r = EstimateImpl(one, ctx);
+      Result<double> r = EstimateImpl(one, tags, ctx);
       if (!r.ok()) return r;
       ratios.push_back(r.value() / s_q);
     }
@@ -244,9 +241,9 @@ Result<double> Estimator::EstimateImpl(const Query& query, RunCtx* ctx) const {
   }
   const OrderConstraint& c = query.orders[0];
   if (c.kind == OrderKind::kSibling) {
-    return EstimateSiblingOrder(query, ctx);
+    return EstimateSiblingOrder(query, tags, ctx);
   }
-  return EstimateDocOrder(query, ctx);
+  return EstimateDocOrder(query, tags, ctx);
 }
 
 bool Estimator::ResolveTags(const Query& q,
@@ -270,168 +267,238 @@ const std::vector<Estimator::CandList>* Estimator::PathJoin(
   // The join is a pure function of (node structure, synopsis); orders,
   // target, and value filters play no part. Never cache a join cut short
   // by an expired deadline — its survivor lists are partial.
-  std::string key = JoinStructureKey(q);
-  auto it = ctx->join_memo->by_structure.find(key);
-  if (it == ctx->join_memo->by_structure.end()) {
-    JoinMemo::Entry entry;
-    const auto start = ctx->timed ? std::chrono::steady_clock::now()
-                                  : std::chrono::steady_clock::time_point{};
-    entry.ok = PathJoinImpl(q, tags, &entry.cands, ctx);
-    if (ctx->timed) {
-      ctx->join_ns += static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - start)
-              .count());
-    }
-    if (ctx->expired) return nullptr;
-    it = ctx->join_memo->by_structure
-             .emplace(std::move(key), std::move(entry))
-             .first;
+  JoinMemo& memo = *ctx->join_memo;
+  memo.key.clear();
+  memo.key.push_back(q.root_mode == RootMode::kAbsolute ? 1 : 0);
+  for (size_t i = 0; i < q.nodes.size(); ++i) {
+    const auto& n = q.nodes[i];
+    memo.key.push_back(uint64_t{tags[i]} << 32 |
+                       static_cast<uint64_t>(n.parent + 1) << 1 |
+                       (n.axis == StructAxis::kChild ? 0 : 1));
   }
-  return it->second.ok ? &it->second.cands : nullptr;
+  for (const JoinMemo::Entry& e : memo.entries) {
+    if (e.key == memo.key) return e.ok ? &e.cands : nullptr;
+  }
+  JoinMemo::Entry& entry = memo.entries.emplace_back();
+  entry.key = memo.key;
+  const auto start = ctx->timed ? std::chrono::steady_clock::now()
+                                : std::chrono::steady_clock::time_point{};
+  entry.ok = PathJoinImpl(q, tags, &entry.cands, ctx);
+  if (ctx->timed) {
+    ctx->join_ns += static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count());
+  }
+  if (ctx->expired) {
+    memo.entries.pop_back();
+    return nullptr;
+  }
+  return entry.ok ? &entry.cands : nullptr;
 }
 
 bool Estimator::PathJoinImpl(const Query& q,
                              const std::vector<xml::TagId>& tags,
                              std::vector<CandList>* cands, RunCtx* ctx) const {
-  cands->assign(q.nodes.size(), CandList{});
-  for (size_t i = 0; i < q.nodes.size(); ++i) {
-    if (ctx->CheckCoarse()) return false;
-    CandList& list = (*cands)[i];
-    if (tags[i] == encoding::kWildcardTag) {
-      // "*" candidates: one entry per (tag, pid) pair, keeping the tag
-      // so the join can test relationships per concrete tag.
-      for (size_t t = 0; t < syn_.TagCount(); ++t) {
-        const xml::TagId tag = static_cast<xml::TagId>(t);
-        const histogram::PHistogram& h = syn_.PHisto(tag);
-        for (encoding::PidRef pid : h.PidsInOrder()) {
-          list.push_back(Cand{tag, pid, h.Frequency(pid)});
-        }
-      }
-      continue;
-    }
-    const histogram::PHistogram& h = syn_.PHisto(tags[i]);
-    list.reserve(h.PidsInOrder().size());
-    for (encoding::PidRef pid : h.PidsInOrder()) {
-      list.push_back(Cand{tags[i], pid, h.Frequency(pid)});
-    }
-  }
-
+  if (ctx->CheckCoarse()) return false;
   // An absolute first step must be the document root: same tag, and the
   // root's path id (the id covering every path).
-  if (q.root_mode == RootMode::kAbsolute) {
-    if (tags[0] != syn_.root_tag() && tags[0] != encoding::kWildcardTag) {
-      return false;
+  if (q.root_mode == RootMode::kAbsolute && tags[0] != syn_.root_tag() &&
+      tags[0] != encoding::kWildcardTag) {
+    return false;
+  }
+  // Candidates in p-histogram bucket order, each carrying its bucket's
+  // average: the pids and doubles PidsInOrder() and Frequency() give,
+  // without a per-pid lookup. "*" lists hold one entry per (tag, pid)
+  // pair, keeping the tag so the join tests relationships per concrete
+  // tag.
+  auto append = [this](xml::TagId tag, CandList* list) {
+    for (const histogram::PHistogram::Bucket& b : syn_.PHisto(tag).buckets()) {
+      for (encoding::PidRef pid : b.pids) {
+        list->push_back(Cand{tag, pid, b.avg_freq});
+      }
     }
-    CandList& list = (*cands)[0];
-    std::erase_if(list,
+  };
+  cands->assign(q.nodes.size(), CandList{});
+  for (size_t i = 0; i < q.nodes.size(); ++i) {
+    CandList& list = (*cands)[i];
+    if (tags[i] == encoding::kWildcardTag) {
+      for (size_t t = 0; t < syn_.TagCount(); ++t) {
+        append(static_cast<xml::TagId>(t), &list);
+      }
+    } else {
+      list.reserve(syn_.PHisto(tags[i]).PidsInOrder().size());
+      append(tags[i], &list);
+    }
+  }
+  if (q.root_mode == RootMode::kAbsolute) {
+    std::erase_if((*cands)[0],
                   [this](const Cand& c) { return c.pid != syn_.root_pid(); });
   }
 
-  // Word-parallel semi-join reduction over every query edge (DESIGN.md
-  // §13); a sweep filters both endpoint lists, keeping survivors in
-  // order. Returns true if something was removed.
+  // Word-parallel semi-join reduction over the query edges (DESIGN.md
+  // §13), as two half-sweeps per edge i (child list i, parent list
+  // parent(i)). Survivors are compacted in place, so every list keeps
+  // its relative order. Each half returns true if it removed something.
   const encoding::PidJoinIndex& index = syn_.join_index();
   const size_t pid_words = index.pid_words();
   const size_t path_words = index.path_words();
   JoinMemo::Scratch& x = ctx->join_memo->scratch;
-  auto sweep_edge = [&](size_t i) {
-    if (ctx->expired) return false;
-    ++ctx->join_probes;
-    const int p = q.nodes[i].parent;
-    const encoding::AxisKind axis = ToAxisKind(q.nodes[i].axis);
-    CandList& pl = (*cands)[p];
-    CandList& cl = (*cands)[i];
-    const size_t before = pl.size() + cl.size();
 
-    // Parent-tag groups: runs of equal tag in pl (one run unless pl is a
-    // "*" list, whose equal tags are adjacent).
+  // Parent-tag groups: runs of equal tag in `pl` (one run unless pl is a
+  // "*" list, whose equal tags are adjacent).
+  auto split_groups = [&x](const CandList& pl) {
     x.group_end.clear();
     for (size_t k = 1; k <= pl.size(); ++k) {
       if (k == pl.size() || pl[k].tag != pl[k - 1].tag) {
         x.group_end.push_back(k);
       }
     }
+  };
+  // The tag test of child candidate `c` under a parent of tag `above`:
+  // does c's pid hold a path on which c's tag sits below `above`?
+  // `below` caches BelowPaths across a run of equal child tags.
+  struct BelowCache {
+    xml::TagId tag = encoding::kWildcardTag;  // no candidate carries it
+    const uint64_t* below = nullptr;
+  };
+  auto tag_test = [&](xml::TagId above, const Cand& c,
+                      encoding::AxisKind axis, BelowCache* cache) {
+    if (c.tag != cache->tag) {
+      cache->tag = c.tag;
+      cache->below = index.BelowPaths(above, c.tag, axis);
+    }
+    ++ctx->containment_tests;
+    return cache->below != nullptr &&
+           Intersects(cache->below, syn_.PidBits(c.pid).words().data(),
+                      path_words);
+  };
+
+  // Bottom-up half: keep a parent iff its cover row meets its group's
+  // ok_pids, the pids of the children passing the group's tag test. A
+  // child that fails the tag test against every group goes too: the
+  // groups only ever shrink, so no parent can keep it later, and the
+  // reduced lists do not change — but the top-down half under a
+  // concrete parent tag may then skip the test.
+  auto reduce_parent = [&](size_t i) {
+    ++ctx->join_probes;
+    const encoding::AxisKind axis = ToAxisKind(q.nodes[i].axis);
+    CandList& pl = (*cands)[q.nodes[i].parent];
+    CandList& cl = (*cands)[i];
+    const size_t before = pl.size() + cl.size();
+    split_groups(pl);
     const size_t groups = x.group_end.size();
     const size_t n = cl.size();
-
-    // 1. The tag test once per (group, child): does the child's pid hold
-    //    a path on which its tag sits below the group's tag? ok_pids[g]
-    //    collects the pids of the children that pass it.
-    x.ok.assign(groups * n, 0);
-    x.ok_pids.assign(groups * pid_words, 0);
-    for (size_t g = 0, begin = 0; g < groups; begin = x.group_end[g++]) {
-      const xml::TagId tag = pl[begin].tag;
-      uint64_t* ok_pids = x.ok_pids.data() + g * pid_words;
-      const uint64_t* below = nullptr;
-      for (size_t c = 0; c < n; ++c) {
-        if (c == 0 || cl[c].tag != cl[c - 1].tag) {
-          below = index.BelowPaths(tag, cl[c].tag, axis);
-        }
-        // On expiry, fail the test: lists collapse, the sweeps finish
-        // quickly, and the caller discards the result via ctx->expired.
-        if (ctx->CheckFine()) continue;
-        ++ctx->containment_tests;
-        if (below != nullptr &&
-            Intersects(below, syn_.PidBits(cl[c].pid).words().data(),
-                       path_words)) {
-          x.ok[g * n + c] = 1;
-          SetBit(ok_pids, cl[c].pid - 1);
-        }
-      }
-    }
-
-    // 2. Keep a parent iff its cover row meets its group's ok_pids; the
-    //    cover rows of the survivors are OR-ed into alive[g].
-    x.alive.assign(groups * pid_words, 0);
+    x.passed.assign(n, 0);
     size_t kept = 0;
     for (size_t g = 0, k = 0; g < groups; ++g) {
-      const uint64_t* ok_pids = x.ok_pids.data() + g * pid_words;
-      uint64_t* alive = x.alive.data() + g * pid_words;
+      const xml::TagId tag = pl[k].tag;
+      x.ok_pids.assign(pid_words, 0);
+      uint64_t* ok_pids = x.ok_pids.data();
+      BelowCache cache;
+      for (size_t c = 0; c < n; ++c) {
+        if (!tag_test(tag, cl[c], axis, &cache)) continue;
+        x.passed[c] = 1;
+        SetBit(ok_pids, cl[c].pid - 1);
+      }
       for (; k < x.group_end[g]; ++k) {
-        const uint64_t* row = index.CoverRow(pl[k].pid);
-        if (!Intersects(row, ok_pids, pid_words)) continue;
-        bitkernel::OrWords(alive, row, pid_words);
-        pl[kept++] = pl[k];
+        if (Intersects(index.CoverRow(pl[k].pid), ok_pids, pid_words)) {
+          pl[kept++] = pl[k];
+        }
       }
     }
     pl.resize(kept);
-
-    // 3. Keep a child iff, for some group, it passed the tag test and a
-    //    surviving parent's cover row holds its pid.
     kept = 0;
     for (size_t c = 0; c < n; ++c) {
-      const size_t bit = cl[c].pid - 1;
-      for (size_t g = 0; g < groups; ++g) {
-        if (x.ok[g * n + c] != 0 &&
-            TestBit(x.alive.data() + g * pid_words, bit)) {
-          cl[kept++] = cl[c];
-          break;
-        }
-      }
+      if (x.passed[c] != 0) cl[kept++] = cl[c];
     }
     cl.resize(kept);
     return pl.size() + cl.size() != before;
   };
 
+  // Top-down half: keep a child iff some surviving parent's cover row
+  // holds its pid — for a "*" parent, one of the same group, whose tag
+  // test it must then pass. Under a concrete parent tag every child left
+  // already passed that one test in reduce_parent(i), so the cover rows
+  // alone decide.
+  auto reduce_child = [&](size_t i) {
+    ++ctx->join_probes;
+    const int p = q.nodes[i].parent;
+    const encoding::AxisKind axis = ToAxisKind(q.nodes[i].axis);
+    const CandList& pl = (*cands)[p];
+    CandList& cl = (*cands)[i];
+    const size_t before = cl.size();
+    if (pl.empty()) {
+      cl.clear();
+      return before != 0;
+    }
+    split_groups(pl);
+    const size_t groups = x.group_end.size();
+    x.alive.assign(groups * pid_words, 0);
+    for (size_t g = 0, k = 0; g < groups; ++g) {
+      uint64_t* alive = x.alive.data() + g * pid_words;
+      for (; k < x.group_end[g]; ++k) {
+        bitkernel::OrWords(alive, index.CoverRow(pl[k].pid), pid_words);
+      }
+    }
+    size_t kept = 0;
+    if (tags[p] != encoding::kWildcardTag) {
+      for (size_t c = 0; c < before; ++c) {
+        if (TestBit(x.alive.data(), cl[c].pid - 1)) cl[kept++] = cl[c];
+      }
+    } else {
+      x.passed.assign(before, 0);
+      for (size_t g = 0, begin = 0; g < groups; begin = x.group_end[g++]) {
+        const uint64_t* alive = x.alive.data() + g * pid_words;
+        BelowCache cache;
+        for (size_t c = 0; c < before; ++c) {
+          if (x.passed[c] == 0 && TestBit(alive, cl[c].pid - 1) &&
+              tag_test(pl[begin].tag, cl[c], axis, &cache)) {
+            x.passed[c] = 1;
+          }
+        }
+      }
+      for (size_t c = 0; c < before; ++c) {
+        if (x.passed[c] != 0) cl[kept++] = cl[c];
+      }
+    }
+    cl.resize(kept);
+    return kept != before;
+  };
+
+  const size_t node_count = q.nodes.size();
   if (join_to_fixpoint_) {
+    // Round-robin to a fixpoint (ablation A2, and the reference the
+    // reducer is tested against): both halves per edge, edges in index
+    // order, until a round removes nothing.
     bool changed = true;
-    while (changed && !ctx->CheckCoarse()) {
+    while (changed) {
       ++ctx->fixpoint_rounds;
       changed = false;
-      for (size_t i = 1; i < q.nodes.size(); ++i) {
-        changed |= sweep_edge(i);
+      for (size_t i = 1; i < node_count; ++i) {
+        if (ctx->CheckCoarse()) return false;
+        changed |= reduce_parent(i);
+        changed |= reduce_child(i);
       }
     }
   } else {
-    // Single bottom-up then top-down pass (ablation A2): the classic
-    // two-pass semi-join reducer.
+    // The two-pass full reducer: for a tree query, one bottom-up pass
+    // (children before parents, i.e. decreasing index) and one top-down
+    // pass reach the fixpoint's survivors. After the bottom-up pass
+    // every parent has a partner in each child list, so a list emptied
+    // there empties the join, and none empties top-down.
     ctx->fixpoint_rounds += 2;
-    for (size_t i = q.nodes.size(); i-- > 1;) sweep_edge(i);
-    for (size_t i = 1; i < q.nodes.size(); ++i) sweep_edge(i);
+    for (size_t i = node_count; i-- > 1;) {
+      if (ctx->CheckCoarse()) return false;
+      reduce_parent(i);
+      if ((*cands)[q.nodes[i].parent].empty()) return false;
+    }
+    for (size_t i = 1; i < node_count; ++i) {
+      if (ctx->CheckCoarse()) return false;
+      reduce_child(i);
+    }
   }
 
-  if (ctx->expired) return false;
   for (const CandList& l : *cands) {
     if (l.empty()) return false;
   }
@@ -444,12 +511,12 @@ double Estimator::FreqSum(const CandList& l) {
   return s;
 }
 
-double Estimator::EstimateNoOrder(const Query& q, RunCtx* ctx) const {
-  std::vector<xml::TagId> tags;
-  if (!ResolveTags(q, &tags)) return 0;
+double Estimator::EstimateNoOrder(const Query& q,
+                                  const std::vector<xml::TagId>& tags,
+                                  int target, RunCtx* ctx) const {
   const std::vector<CandList>* join = PathJoin(q, tags, ctx);
   if (join == nullptr) return 0;
-  return NodeSelectivity(q, tags, *join, q.target, ctx);
+  return NodeSelectivity(q, tags, *join, target, ctx);
 }
 
 double Estimator::NodeSelectivity(const Query& q,
@@ -493,8 +560,7 @@ double Estimator::NodeSelectivity(const Query& q,
   qp.target = map[node];
   XEE_CHECK(map[node] >= 0 && map[ni] >= 0);
 
-  std::vector<xml::TagId> tags_p;
-  if (!ResolveTags(qp, &tags_p)) return 0;
+  const std::vector<xml::TagId> tags_p = SubTags(tags, map, qp);
   const std::vector<CandList>* join_p = PathJoin(qp, tags_p, ctx);
   if (join_p == nullptr) return 0;
 
@@ -505,14 +571,11 @@ double Estimator::NodeSelectivity(const Query& q,
   return s_qp_n * s_q_ni / s_qp_ni;
 }
 
-double Estimator::OrderCellSum(const Query& q_prime, int x_in_prime,
-                               const std::string& other_tag_name,
+double Estimator::OrderCellSum(const Query& q_prime,
+                               const std::vector<xml::TagId>& tags,
+                               int x_in_prime, xml::TagId other_tag,
                                bool x_is_after, RunCtx* ctx) const {
   if (ctx->CheckCoarse()) return 0;
-  std::vector<xml::TagId> tags;
-  if (!ResolveTags(q_prime, &tags)) return 0;
-  auto other = syn_.FindTag(other_tag_name);
-  if (!other.has_value()) return 0;
   const std::vector<CandList>* join = PathJoin(q_prime, tags, ctx);
   if (join == nullptr) return 0;
 
@@ -521,18 +584,17 @@ double Estimator::OrderCellSum(const Query& q_prime, int x_in_prime,
       x_is_after ? stats::OrderRegion::kAfter : stats::OrderRegion::kBefore;
   double sum = 0;
   for (const Cand& c : (*join)[x_in_prime]) {
-    sum += oh.Get(region, *other, c.pid);
+    sum += oh.Get(region, other_tag, c.pid);
   }
   return sum;
 }
 
-double Estimator::EstimateSiblingOrder(const Query& q, RunCtx* ctx) const {
+double Estimator::EstimateSiblingOrder(const Query& q,
+                                       const std::vector<xml::TagId>& tags,
+                                       RunCtx* ctx) const {
   const OrderConstraint& c = q.orders[0];
   const int a = c.before;
   const int b = c.after;
-
-  Query no_order = q;
-  no_order.orders.clear();
 
   // Evaluates one sibling endpoint x (the other endpoint's branch is
   // truncated to its head to form Q'). Returns the three quantities of
@@ -555,15 +617,12 @@ double Estimator::EstimateSiblingOrder(const Query& q, RunCtx* ctx) const {
       for (size_t i = 0; i < q.nodes.size(); ++i) keep[i] = !off[i];
     }
     std::vector<int> map;
-    Query qp = no_order.SubQuery(keep, &map);
+    const Query qp = q.SubQuery(keep, &map);
     XEE_CHECK(map[x] >= 0);
-    qp.target = map[x];
-    side.s_oh = OrderCellSum(qp, map[x], q.nodes[other].tag, x_is_after, ctx);
-    side.s_qp = EstimateNoOrder(qp, ctx);
-
-    Query qx = no_order;
-    qx.target = x;
-    const double s_q_x = EstimateNoOrder(qx, ctx);
+    const std::vector<xml::TagId> tags_p = SubTags(tags, map, qp);
+    side.s_oh = OrderCellSum(qp, tags_p, map[x], tags[other], x_is_after, ctx);
+    side.s_qp = EstimateNoOrder(qp, tags_p, map[x], ctx);
+    const double s_q_x = EstimateNoOrder(q, tags, x, ctx);
     side.s_arrow = side.s_qp > 0 ? side.s_oh * s_q_x / side.s_qp : 0;
     return side;
   };
@@ -575,29 +634,25 @@ double Estimator::EstimateSiblingOrder(const Query& q, RunCtx* ctx) const {
   if (IsQueryDescendant(q, b, t)) {
     // Eq. 4: scale the no-order estimate by the order ratio of b.
     const Side side = eval_side(b, a, /*x_is_after=*/true);
-    Query qt = no_order;
-    qt.target = t;
-    const double s_q_t = EstimateNoOrder(qt, ctx);
+    const double s_q_t = EstimateNoOrder(q, tags, t, ctx);
     return side.s_qp > 0 ? s_q_t * side.s_oh / side.s_qp : 0;
   }
   if (IsQueryDescendant(q, a, t)) {
     const Side side = eval_side(a, b, /*x_is_after=*/false);
-    Query qt = no_order;
-    qt.target = t;
-    const double s_q_t = EstimateNoOrder(qt, ctx);
+    const double s_q_t = EstimateNoOrder(q, tags, t, ctx);
     return side.s_qp > 0 ? s_q_t * side.s_oh / side.s_qp : 0;
   }
 
   // Trunk target: Eq. 5.
   const Side sa = eval_side(a, b, /*x_is_after=*/false);
   const Side sb = eval_side(b, a, /*x_is_after=*/true);
-  Query qt = no_order;
-  qt.target = t;
-  const double s_q_t = EstimateNoOrder(qt, ctx);
+  const double s_q_t = EstimateNoOrder(q, tags, t, ctx);
   return std::min(s_q_t, std::min(sa.s_arrow, sb.s_arrow));
 }
 
-Result<double> Estimator::EstimateDocOrder(const Query& q, RunCtx* ctx) const {
+Result<double> Estimator::EstimateDocOrder(const Query& q,
+                                           const std::vector<xml::TagId>& tags,
+                                           RunCtx* ctx) const {
   const OrderConstraint& c = q.orders[0];
   // The rewrite targets the endpoint attached via the descendant axis
   // (created by a following::/preceding:: step). If both endpoints are
@@ -611,7 +666,7 @@ Result<double> Estimator::EstimateDocOrder(const Query& q, RunCtx* ctx) const {
   } else {
     Query sib = q;
     sib.orders[0].kind = OrderKind::kSibling;
-    return EstimateSiblingOrder(sib, ctx);
+    return EstimateSiblingOrder(sib, tags, ctx);
   }
   const int ctx_node = d == c.after ? c.before : c.after;
   const int junction = q.nodes[d].parent;
@@ -621,8 +676,6 @@ Result<double> Estimator::EstimateDocOrder(const Query& q, RunCtx* ctx) const {
                   "document-order context step must be child-attached");
   }
 
-  std::vector<xml::TagId> tags;
-  if (!ResolveTags(q, &tags)) return 0.0;
   const std::vector<CandList>* join = PathJoin(q, tags, ctx);
   if (join == nullptr) return 0.0;
 
@@ -646,6 +699,7 @@ Result<double> Estimator::EstimateDocOrder(const Query& q, RunCtx* ctx) const {
     // Rebuild the query with d replaced by an explicit child chain and a
     // sibling constraint between the context step and the chain head.
     Query rw;
+    std::vector<xml::TagId> rw_tags;
     rw.root_mode = q.root_mode;
     std::vector<int> map(q.nodes.size(), -1);
     int head = -1;
@@ -654,6 +708,7 @@ Result<double> Estimator::EstimateDocOrder(const Query& q, RunCtx* ctx) const {
         int cur = map[junction];
         for (size_t s = 0; s < chain.size(); ++s) {
           cur = rw.AddNode(syn_.TagName(chain[s]), StructAxis::kChild, cur);
+          rw_tags.push_back(chain[s]);
           if (s == 0) head = cur;
         }
         map[i] = cur;
@@ -661,6 +716,7 @@ Result<double> Estimator::EstimateDocOrder(const Query& q, RunCtx* ctx) const {
         const auto& n = q.nodes[i];
         map[i] = rw.AddNode(n.tag, n.axis,
                             n.parent == -1 ? -1 : map[n.parent]);
+        rw_tags.push_back(tags[i]);
       }
     }
     OrderConstraint sc;
@@ -670,15 +726,13 @@ Result<double> Estimator::EstimateDocOrder(const Query& q, RunCtx* ctx) const {
     rw.orders.push_back(sc);
     rw.target = map[q.target];
     XEE_CHECK(rw.target >= 0);
-    total += EstimateSiblingOrder(rw, ctx);
+    total += EstimateSiblingOrder(rw, rw_tags, ctx);
   }
 
   if (target_in_d) return total;
   // Target elsewhere: the chains partition d's possibilities, so the sum
   // bounds the union; clamp by the no-order estimate.
-  Query qt = q;
-  qt.orders.clear();
-  return std::min(EstimateNoOrder(qt, ctx), total);
+  return std::min(EstimateNoOrder(q, tags, q.target, ctx), total);
 }
 
 }  // namespace xee::estimator

@@ -78,35 +78,43 @@ class Estimator {
   static constexpr std::string_view kAllocFaultSite = "estimator.alloc";
 
   /// Number of tag-path tests performed by path joins since
-  /// construction: one per (parent-tag group, child candidate) per sweep
-  /// of the word-parallel join (DESIGN.md §13), not one per candidate
-  /// pair. Exposed for the join ablation bench.
+  /// construction: one per (parent-tag group, child candidate) that a
+  /// half-sweep tests (DESIGN.md §13), not one per candidate pair. The
+  /// bottom-up half tests every child against every group; the top-down
+  /// half tests only under a "*" parent, and only children whose pid a
+  /// group's surviving cover rows hold. Exposed for the join ablation
+  /// bench.
   size_t containment_tests() const {
     return containment_tests_.load(std::memory_order_relaxed);
   }
 
-  /// When false (default is true), the path join runs a single
-  /// leaf-to-root then root-to-leaf pass instead of iterating to a
-  /// fixpoint. Ablation A2 in DESIGN.md. Not thread-safe; configure
-  /// before sharing the estimator.
+  /// Path-join schedule. Off (the default), each join is the two-pass
+  /// full reducer: one bottom-up half-sweep per edge (leaf to root),
+  /// then one top-down half-sweep per edge (root to leaf). On, the same
+  /// two halves run edge by edge in round-robin rounds until a round
+  /// removes nothing — ablation A2 in DESIGN.md and the differential
+  /// reference; both give the same survivor lists on tree queries. Not
+  /// thread-safe; configure before sharing the estimator.
   void set_join_to_fixpoint(bool v) { join_to_fixpoint_ = v; }
 
  private:
-  /// Call-scoped memo of PathJoin results keyed by subquery structure;
-  /// defined in the .cc. The formula walk for branch and order queries
-  /// re-joins overlapping truncated subqueries (Q', Q_x, Q_t share most
-  /// of their edges); within one Estimate call those joins are pure
-  /// functions of (structure, synopsis), so the memo collapses the
-  /// duplicates.
+  /// Call-scoped memo of PathJoin results, defined in the .cc. The
+  /// formula walk for branch and order queries re-joins overlapping
+  /// truncated subqueries (Q', Q_x, Q_t share most of their edges);
+  /// within one Estimate call a join is a pure function of the
+  /// subquery's structure — root mode, then (parent, axis, resolved tag
+  /// id) per node — so the memo keys on exactly that flat tuple and
+  /// collapses the duplicates. Entries live in a deque: NodeSelectivity
+  /// holds survivor-list references across nested PathJoin calls, and
+  /// appending must not move them.
   struct JoinMemo;
 
   /// Per-call deadline state threaded through the recursive estimation
-  /// helpers. Once `expired` latches, joins collapse to empty and the
-  /// public entry point replaces whatever partial value bubbled up with
+  /// helpers. Once `expired` latches, joins stop and the public entry
+  /// point replaces whatever partial value bubbled up with
   /// kDeadlineExceeded — intermediate zeros are never observable.
   struct RunCtx {
     Deadline deadline;
-    uint32_t ticks = 0;
     bool expired = false;
     /// The call's join memo (never null).
     JoinMemo* join_memo = nullptr;
@@ -120,24 +128,29 @@ class Estimator {
     uint64_t fixpoint_rounds = 0;
     uint64_t join_ns = 0;
 
-    /// Step/join-boundary check: reads the clock (cheap, but not free)
-    /// unless the deadline is infinite or expiry already latched.
+    /// Step, edge and round-boundary check: reads the clock (cheap, but
+    /// not free) unless the deadline is infinite or expiry already
+    /// latched.
     bool CheckCoarse();
-    /// Inner-loop check for the tag-path-test hot path: consults the
-    /// clock only every 256th call.
-    bool CheckFine();
   };
 
-  /// Estimate's body; `ctx` carries the deadline and the join memo
-  /// (never null).
-  Result<double> EstimateImpl(const xpath::Query& query, RunCtx* ctx) const;
+  /// Estimate's body over a validated query whose tag ids `tags` (one
+  /// per node) are resolved; `ctx` carries the deadline and the join
+  /// memo (never null).
+  Result<double> EstimateImpl(const xpath::Query& query,
+                              const std::vector<xml::TagId>& tags,
+                              RunCtx* ctx) const;
 
   /// Drains ctx's work counters into the member atomic, the global obs
   /// registry, and `limits.trace` (when set). Called exactly once per
-  /// Estimate call, on every exit path.
+  /// Estimate call that passed its up-front deadline and validity
+  /// checks, on every exit path after them.
   void FlushCounters(const RunCtx& ctx, const EstimateLimits& limits) const;
 
-  /// Per-query resolved tag ids; nullopt when some tag is unknown.
+  /// Resolves each node's tag to its id (kWildcardTag for "*") into
+  /// `tags`. Returns false when some tag does not occur in the document.
+  /// Estimate resolves once per call; subqueries carry the ids over
+  /// through their node maps.
   bool ResolveTags(const xpath::Query& q, std::vector<xml::TagId>* tags) const;
 
   /// Runs the path-id join of Section 4 through ctx->join_memo and
@@ -148,15 +161,22 @@ class Estimator {
                                         const std::vector<xml::TagId>& tags,
                                         RunCtx* ctx) const;
 
-  /// The uncached join body behind PathJoin's memo check.
+  /// The uncached join body behind PathJoin's memo check: candidate
+  /// lists from the p-histograms' buckets, then the semi-join reduction
+  /// under the configured schedule.
   bool PathJoinImpl(const xpath::Query& q, const std::vector<xml::TagId>& tags,
                     std::vector<CandList>* cands, RunCtx* ctx) const;
 
   static double FreqSum(const CandList& l);
 
-  /// Selectivity of `q.target` ignoring order constraints (Theorem 4.1 +
-  /// Eq. 2 generalized to arbitrary branch trees, see DESIGN.md §2).
-  double EstimateNoOrder(const xpath::Query& q, RunCtx* ctx) const;
+  /// Selectivity of node `target` of `q` ignoring q's order constraints
+  /// and target (Theorem 4.1 + Eq. 2 generalized to arbitrary branch
+  /// trees, see DESIGN.md §2). Neither the join nor the formulas read
+  /// them, so callers pass the query they hold, with no retargeted or
+  /// order-free copy.
+  double EstimateNoOrder(const xpath::Query& q,
+                         const std::vector<xml::TagId>& tags, int target,
+                         RunCtx* ctx) const;
 
   /// Recursive branch-part estimation given a completed join on `q`.
   double NodeSelectivity(const xpath::Query& q,
@@ -165,22 +185,28 @@ class Estimator {
                          RunCtx* ctx) const;
 
   /// Queries with exactly one sibling-order constraint (Eqs. 3-5).
-  double EstimateSiblingOrder(const xpath::Query& q, RunCtx* ctx) const;
+  double EstimateSiblingOrder(const xpath::Query& q,
+                              const std::vector<xml::TagId>& tags,
+                              RunCtx* ctx) const;
 
   /// Queries with one document-order constraint: rewrite into
   /// sibling-order queries via the encoding table (Section 5,
   /// Example 5.3) and combine.
-  Result<double> EstimateDocOrder(const xpath::Query& q, RunCtx* ctx) const;
+  Result<double> EstimateDocOrder(const xpath::Query& q,
+                                  const std::vector<xml::TagId>& tags,
+                                  RunCtx* ctx) const;
 
   /// The o-histogram-backed selectivity S_arrowQ'(x) of a sibling
   /// endpoint x: sum of order cells over x's pids surviving the join on
-  /// q_prime (x's branch kept whole, the other branch truncated).
-  double OrderCellSum(const xpath::Query& q_prime, int x_in_prime,
-                      const std::string& other_tag_name, bool x_is_after,
+  /// q_prime (x's branch kept whole, the other branch truncated), whose
+  /// tag ids are `tags`; `other_tag` is the other endpoint's tag.
+  double OrderCellSum(const xpath::Query& q_prime,
+                      const std::vector<xml::TagId>& tags, int x_in_prime,
+                      xml::TagId other_tag, bool x_is_after,
                       RunCtx* ctx) const;
 
   const Synopsis& syn_;
-  bool join_to_fixpoint_ = true;
+  bool join_to_fixpoint_ = false;
   /// Instrumentation only; relaxed increments keep const estimation
   /// calls safe to run concurrently.
   mutable std::atomic<size_t> containment_tests_ = 0;

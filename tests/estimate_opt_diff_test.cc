@@ -10,6 +10,15 @@
 //    breaks one. Wildcard pins over `*`-bearing grammar-generated
 //    queries were computed by the pairwise join sweep that the
 //    word-parallel sweep replaced.
+//  - Join schedules: the default two-pass full reducer and the
+//    round-robin fixpoint arm (set_join_to_fixpoint(true)) serve the
+//    same pinned bits on every corpus above, and agree on hand-written
+//    joins that reach the reducer's special cases. A deadline may
+//    expire anywhere in a join: the call then fails, it never serves a
+//    third number, and the service caches nothing for it.
+//  - Candidate frequencies come from the synopsis's own p-histograms:
+//    a PatchedClone given another build's histograms estimates like
+//    that build.
 //  - Join-index derivation sites: Deserialize and PatchedClone carry
 //    the index a scratch Build derives and serve the pinned bits. (The
 //    checked-in corpus blobs, which predate the index, are loaded and
@@ -34,6 +43,8 @@
 #include <string>
 #include <vector>
 
+#include "common/deadline.h"
+#include "common/fault.h"
 #include "datagen/datagen.h"
 #include "delta/document_delta.h"
 #include "delta/live_synopsis.h"
@@ -140,7 +151,8 @@ constexpr struct {
 // Checks the workload pins of `dataset` against estimates over `syn`,
 // a synopsis of CorpusFor(dataset).doc however it was obtained.
 void ExpectWorkloadPins(const std::string& dataset,
-                        const estimator::Synopsis& syn, const char* what) {
+                        const estimator::Synopsis& syn, const char* what,
+                        bool fixpoint = false) {
   const workload::Workload& w = CorpusFor(dataset).workload;
   for (const auto& [pin_dataset, cls, want] : kWorkloadPins) {
     if (dataset != pin_dataset) continue;
@@ -150,7 +162,9 @@ void ExpectWorkloadPins(const std::string& dataset,
                          &w.order_trunk_target})[cls]) {
       queries.push_back(wq.query);
     }
-    const Pin got = PinOf(estimator::Estimator(syn), queries);
+    estimator::Estimator est(syn);
+    est.set_join_to_fixpoint(fixpoint);
+    const Pin got = PinOf(est, queries);
     const std::string where =
         std::string(what) + " " + dataset + " class " + std::to_string(cls);
     EXPECT_EQ(got.count, want.count) << where;
@@ -242,9 +256,13 @@ TEST(EstimateOptDiff, CompiledPathsMatchOnPaperExample) {
         "/A[.=\"x\"]"}) {
     queries.push_back(xpath::ParseXPath(s).value());
   }
-  const Pin got = PinOf(estimator::Estimator(syn), queries);
-  EXPECT_EQ(got.count, 10u);
-  EXPECT_EQ(got.hash, 0x68a7ca25f64bb629ull);
+  for (bool fixpoint : {false, true}) {
+    estimator::Estimator est(syn);
+    est.set_join_to_fixpoint(fixpoint);
+    const Pin got = PinOf(est, queries);
+    EXPECT_EQ(got.count, 10u) << "fixpoint=" << fixpoint;
+    EXPECT_EQ(got.hash, 0x68a7ca25f64bb629ull) << "fixpoint=" << fixpoint;
+  }
 }
 
 // `*`-bearing queries from the fuzz grammar generator over each
@@ -287,13 +305,210 @@ TEST(EstimateOptDiff, WildcardQueriesMatchPins) {
         PinOf(estimator::Estimator(syn), WildcardQueries(c.doc, want.count));
     EXPECT_EQ(got.count, want.count) << dataset;
     EXPECT_EQ(got.hash, want.hash) << dataset;
-    // The two-pass reducer is a full reducer on tree queries: the same
-    // survivor lists in the same order, hence the same bits.
-    estimator::Estimator two_pass(syn);
-    two_pass.set_join_to_fixpoint(false);
-    EXPECT_EQ(PinOf(two_pass, WildcardQueries(c.doc, want.count)).hash,
+    // The two-pass reducer is a full reducer on tree queries: the
+    // round-robin fixpoint reaches the same survivor lists in the same
+    // order, hence the same bits.
+    estimator::Estimator fixpoint(syn);
+    fixpoint.set_join_to_fixpoint(true);
+    EXPECT_EQ(PinOf(fixpoint, WildcardQueries(c.doc, want.count)).hash,
               want.hash)
-        << dataset << " two-pass";
+        << dataset << " fixpoint";
+  }
+}
+
+// The round-robin fixpoint arm serves the workload pins too: on tree
+// queries the two-pass reducer's survivors are the fixpoint's.
+TEST(EstimateOptDiff, JoinSchedulesMatchOnWorkloadPins) {
+  for (const char* dataset : {"ssplays", "dblp", "xmark"}) {
+    ExpectWorkloadPins(dataset,
+                       estimator::Synopsis::Build(CorpusFor(dataset).doc, {}),
+                       "fixpoint", /*fixpoint=*/true);
+  }
+}
+
+// A document where a "*" parent list shrinks to one group after a child
+// was kept for a group that goes:
+//
+//   R
+//   └── H
+//       ├── T ── G ── T        path 1: R/H/T/G/T
+//       ├── K                  path 2: R/H/K
+//       ├── T ── G ── K        path 3: R/H/T/G/K
+//       └── T ── G ┬─ T
+//                  ├─ K
+//                  └─ Z        path 4: R/H/T/G/Z
+//
+// In //*[/Z]/K/following-sibling::T, [/Z] leaves the "*" list with the
+// one G of pid {1,3,4}. The T of pid {3} (the third child of H, after
+// the K) passed the tag test only under H; that G's cover row holds
+// {3}, but no path of {3} has T directly below G, so only a top-down
+// re-test under the shrunken "*" drops it. Its o-histogram cell (one T
+// after a K) would double the estimate from 1 to 2.
+xml::Document ShrinkingWildcardDocument() {
+  xml::Document doc;
+  const xml::NodeId h = doc.AppendChild(doc.CreateRoot("R"), "H");
+  auto t_g = [&] { return doc.AppendChild(doc.AppendChild(h, "T"), "G"); };
+  doc.AppendChild(t_g(), "T");
+  doc.AppendChild(h, "K");
+  doc.AppendChild(t_g(), "K");
+  const xml::NodeId g = t_g();
+  for (const char* leaf : {"T", "K", "Z"}) doc.AppendChild(g, leaf);
+  doc.Finalize();
+  return doc;
+}
+
+// Hand-written joins that reach the reducer's special cases: absolute
+// roots (matching, mismatched, "*"), a "*" parent that drops to one
+// group, and parent lists that empty mid-join (the reducer stops there,
+// the fixpoint arm clears the child lists below).
+TEST(EstimateOptDiff, JoinSchedulesMatchOnHandWrittenJoins) {
+  const struct {
+    xml::Document doc;
+    std::vector<std::pair<const char*, double>> cases;
+  } kDocs[] = {
+      {testing::MakePaperDocument(),
+       {{"/Root/A/B/D", 4},
+        {"/A/B", 0},
+        {"/*/A/B", 4},
+        {"/*[/A/C]//F", 1},
+        {"/Root//E", 3},
+        {"//*[/F]/E", 1},
+        {"//A[/F]/B", 0},
+        {"//*[/F]/D", 0},
+        {"//B[/E]/*[/F]", 0}}},
+      {ShrinkingWildcardDocument(),
+       {{"//*[/Z]/K/following-sibling::T", 1},
+        {"//G[/Z]", 1},
+        {"//K/T", 0},
+        {"/R/*/T", 5}}},
+  };
+  for (const auto& [doc, cases] : kDocs) {
+    const estimator::Synopsis syn = estimator::Synopsis::Build(doc, {});
+    estimator::Estimator reducer(syn), fixpoint(syn);
+    fixpoint.set_join_to_fixpoint(true);
+    for (const auto& [xpath, want] : cases) {
+      const xpath::Query q = xpath::ParseXPath(xpath).value();
+      ExpectSameResult(reducer.Estimate(q), fixpoint.Estimate(q), xpath);
+      EXPECT_EQ(reducer.Estimate(q).value(), want) << xpath;
+    }
+  }
+}
+
+// Arms deadline.expire to fire at the (skip+1)-th deadline check of a
+// finite-deadline call, for every skip up to the number of checks an
+// unexpired call makes: every call before that fails with
+// kDeadlineExceeded, the last one serves the reference bits, and some
+// expiries land inside a join (after its first half-sweep).
+TEST(EstimateOptDiff, DeadlineExpiryMidJoinFailsOrServesThePinnedValue) {
+  const Corpus& c = SharedCorpus();
+  auto syn = std::make_shared<const estimator::Synopsis>(
+      estimator::Synopsis::Build(c.doc, {}));
+  const estimator::Estimator est(*syn);
+  const Deadline far = Deadline::AfterMs(3'600'000);  // finite: faults apply
+  const std::string site(Deadline::kFaultSite);
+
+  const xpath::Query trunk = c.workload.order_trunk_target.front().query;
+  xpath::Query wildcard;
+  for (const xpath::Query& q : WildcardQueries(c.doc, 500)) {
+    const Result<double> r = est.Estimate(q);
+    if (q.nodes.size() >= 3 && r.ok() && r.value() > 0) {
+      wildcard = q;
+      break;
+    }
+  }
+  ASSERT_FALSE(wildcard.nodes.empty());
+
+  for (const xpath::Query& q : {trunk, wildcard}) {
+    const std::string what = q.ToString();
+    const Result<double> want = est.Estimate(q);
+    ASSERT_TRUE(want.ok()) << what;
+    uint64_t checks = 0;
+    obs::TraceSpans unexpired;
+    {
+      ScopedFault count(site, FaultConfig{.probability = 0});
+      ExpectSameResult(est.Estimate(q, {.deadline = far, .trace = &unexpired}),
+                       want, what);
+      checks = FaultInjector::Global().HitCount(site);
+    }
+    // The join checks the clock before every half-sweep, so expiry can
+    // land between any two of them.
+    ASSERT_GT(checks, unexpired.join_probes) << what;
+    size_t mid_join = 0;
+    for (uint64_t skip = 0; skip <= checks; ++skip) {
+      ScopedFault fault(site, FaultConfig{.skip = skip});
+      obs::TraceSpans spans;
+      const Result<double> got =
+          est.Estimate(q, {.deadline = far, .trace = &spans});
+      if (skip < checks) {
+        ASSERT_FALSE(got.ok()) << what << " skip " << skip;
+        EXPECT_EQ(got.status().code(), StatusCode::kDeadlineExceeded)
+            << what << " skip " << skip;
+        mid_join += spans.join_probes > 0;
+      } else {
+        ExpectSameResult(got, want, what + " skip " + std::to_string(skip));
+      }
+    }
+    EXPECT_GT(mid_join, 0u) << what;
+
+    // Through the service: a request ending in kDeadlineExceeded (no
+    // order-free fallback) leaves nothing in the answer cache; once the
+    // skip passes every check (the service adds a few of its own), the
+    // request serves the reference bits.
+    service::QueryRequest req{"d", what};
+    req.deadline = far;
+    req.allow_degraded = false;
+    bool served = false;
+    for (uint64_t skip = 0; !served && skip <= checks + 8; ++skip) {
+      service::EstimationService svc({.threads = 1});
+      svc.registry().Register("d", syn);
+      ScopedFault fault(site, FaultConfig{.skip = skip});
+      const service::EstimateOutcome got = svc.Estimate(req);
+      if (got.estimate.ok()) {
+        ExpectSameResult(got.estimate, want, what + " service");
+        EXPECT_GT(skip, 1u) << what;  // some skip expired the estimator
+        served = true;
+        continue;
+      }
+      EXPECT_EQ(got.estimate.status().code(), StatusCode::kDeadlineExceeded)
+          << what << " service skip " << skip;
+      EXPECT_EQ(svc.Stats().cache_entries, 0u)
+          << what << " service skip " << skip;
+    }
+    EXPECT_TRUE(served) << what;
+  }
+}
+
+// The join reads candidate frequencies from the synopsis's own
+// p-histograms, never from a structure shared with its base: a
+// PatchedClone of an exact (p_variance = 0) build, handed the histograms
+// of a p_variance = 2 build of the same document, must estimate bit for
+// bit like that build.
+TEST(EstimateOptDiff, PatchedCloneEstimatesFromItsOwnHistograms) {
+  for (const char* dataset : {"ssplays", "dblp", "xmark"}) {
+    const Corpus& c = CorpusFor(dataset);
+    const estimator::Synopsis exact = estimator::Synopsis::Build(c.doc, {});
+    const estimator::Synopsis coarse =
+        estimator::Synopsis::Build(c.doc, {.p_variance = 2});
+    std::vector<histogram::PHistogram> p_histos;
+    std::vector<histogram::OHistogram> o_histos;
+    for (xml::TagId t = 0; t < coarse.TagCount(); ++t) {
+      p_histos.push_back(coarse.PHisto(t));
+      o_histos.push_back(coarse.OHisto(t));
+    }
+    const estimator::Synopsis clone = estimator::Synopsis::PatchedClone(
+        exact, std::move(p_histos), std::move(o_histos),
+        *coarse.value_stats());
+    const estimator::Estimator exact_est(exact), coarse_est(coarse),
+        clone_est(clone);
+    size_t differ = 0;
+    for (const xpath::Query& q : c.queries) {
+      const Result<double> want = coarse_est.Estimate(q);
+      ExpectSameResult(clone_est.Estimate(q), want,
+                       std::string(dataset) + " " + q.ToString());
+      const Result<double> base = exact_est.Estimate(q);
+      differ += want.ok() && base.ok() && want.value() != base.value();
+    }
+    EXPECT_GT(differ, 0u) << dataset;  // the histograms really differ
   }
 }
 

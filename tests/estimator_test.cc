@@ -254,8 +254,8 @@ TEST(EstimatorVariance, BucketAveragingChangesEstimates) {
 TEST(EstimatorJoinMode, TwoPassMatchesFixpointOnTrees) {
   xml::Document doc = xee::testing::MakePaperDocument();
   Synopsis syn = Synopsis::Build(doc, SynopsisOptions{});
-  Estimator fix(syn), two(syn);
-  two.set_join_to_fixpoint(false);
+  Estimator fix(syn), two(syn);  // two-pass reducer by default
+  fix.set_join_to_fixpoint(true);
   for (const char* s : {"//A[/C/F]/B/D", "//A//C", "//C[/E{t}]/F",
                         "//A[/B]/C", "//Root/A/B/D"}) {
     auto q = xpath::ParseXPath(s).value();

@@ -150,8 +150,8 @@ TEST_P(PipelineTest, EstimatesAreFiniteAndNonNegative) {
 TEST_P(PipelineTest, TwoPassJoinEquivalentToFixpoint) {
   Pipeline& p = Get(GetParam());
   estimator::Synopsis syn = p.Build(0, 0);
-  estimator::Estimator fix(syn), two(syn);
-  two.set_join_to_fixpoint(false);
+  estimator::Estimator fix(syn), two(syn);  // two-pass reducer by default
+  fix.set_join_to_fixpoint(true);
   for (const auto* list : {&p.w.simple, &p.w.branch}) {
     for (const auto& wq : *list) {
       EXPECT_DOUBLE_EQ(fix.Estimate(wq.query).value(),
