@@ -22,11 +22,9 @@
 #include <vector>
 
 #include "bench_util/runner.h"
-#include "common/rng.h"
 #include "obs/trace.h"
 #include "obs/window.h"
 #include "service/service.h"
-#include "sim/traffic.h"
 #include "workload/workload.h"
 
 namespace xee {
@@ -122,124 +120,6 @@ class StageScraper {
   obs::Histogram* hists_[obs::kStageCount + 1];
   obs::HistogramWindow wins_[obs::kStageCount + 1];
 };
-
-// The query-intelligence phase (DESIGN.md §15): a long-tail alias storm
-// against a deliberately small answer cache, with the analyzer
-// on vs off. Every workload query is issued under up to three
-// spellings — itself, an axis-expanded alias (same canonical key by
-// construction), and the root-anchored semantic form (a *different*
-// canonical key that only the analyzer's rewrites reunite with the
-// family's answer). The off-arm estimates and caches the semantic
-// spellings separately, inflating the working set; the on-arm's hit
-// rate and repeat qps measure what answer sharing buys under cache
-// pressure. The cache budget is half the bytes the off-arm's warm
-// working set occupies in a default-budget cache, so the off-arm must
-// evict whatever the entry size and dataset.
-void RunIntelPhase(const bench_util::DatasetRun& run,
-                   const std::shared_ptr<const estimator::Synopsis>& syn,
-                   const std::vector<service::QueryRequest>& reqs,
-                   uint64_t seed) {
-  // Families: "//"-headed workload queries that actually have a
-  // root-anchored respelling, capped so the *shared* canonical set fits
-  // the starved cache while the off-arm's doubled key space does not —
-  // the regime where sharing decides between a plan hit and a recompile
-  // rather than shaving a few percent off uniform churn.
-  const std::string root_name =
-      run.doc.TagNameOf(run.doc.Tag(run.doc.root()));
-  constexpr size_t kMaxFamilies = 120;
-  std::vector<service::QueryRequest> storm;
-  storm.reserve(kMaxFamilies * 3);
-  Rng rng(seed ^ 0x147e1u);
-  size_t families = 0;
-  for (const service::QueryRequest& r : reqs) {
-    if (families >= kMaxFamilies) break;
-    const std::string anchored =
-        sim::TrafficSource::SemanticAliasSpelling(root_name, r.xpath);
-    if (anchored == r.xpath) continue;
-    ++families;
-    storm.push_back(r);
-    storm.push_back(service::QueryRequest{r.synopsis, anchored});
-    const std::string alias = sim::TrafficSource::AliasSpelling(rng, r.xpath);
-    if (alias != r.xpath) {
-      storm.push_back(service::QueryRequest{r.synopsis, alias});
-    }
-  }
-  if (storm.empty()) {
-    std::printf("no '//'-headed families; skipping intel phase\n");
-    return;
-  }
-
-  struct ArmResult {
-    double qps = 0;
-    double hit_rate = 0;
-    uint64_t compiles = 0;
-  };
-  auto run_storm = [&](service::EstimationService& svc) {
-    for (const service::QueryRequest& r : storm) {
-      (void)svc.Estimate(r.synopsis, r.xpath);
-    }
-  };
-  service::ServiceOptions base;
-  base.threads = 1;
-  base.accuracy_sample = 0;
-  size_t budget = 0;
-  {
-    service::ServiceOptions opt = base;
-    opt.enable_analyzer = false;
-    service::EstimationService probe(opt);
-    probe.registry().Register(run.name, syn);
-    run_storm(probe);
-    budget = probe.Stats().cache_bytes / 2;
-  }
-  ArmResult arms[2];
-  for (int analyzer = 0; analyzer < 2; ++analyzer) {
-    service::ServiceOptions opt = base;
-    opt.enable_analyzer = analyzer == 1;
-    opt.plan_cache_bytes = budget;
-    service::EstimationService svc(opt);
-    svc.registry().Register(run.name, syn);
-    auto run_all = [&] { run_storm(svc); };
-    run_all();  // warm pass: fill whatever fits in the starved caches
-    const service::ServiceStatsSnapshot before = svc.Stats();
-    const double secs = bench_util::TimeSeconds(run_all);
-    const service::ServiceStatsSnapshot after = svc.Stats();
-    const uint64_t requests = after.requests - before.requests;
-    const uint64_t hits = (after.exact_hits - before.exact_hits) +
-                          (after.canonical_hits - before.canonical_hits);
-    ArmResult& arm = arms[analyzer];
-    arm.qps = secs > 0 ? static_cast<double>(storm.size()) / secs : 0.0;
-    arm.hit_rate =
-        requests > 0 ? static_cast<double>(hits) / requests : 0.0;
-    arm.compiles = after.misses - before.misses;
-    std::printf(
-        "{\"bench\":\"service_intel\",\"dataset\":\"%s\","
-        "\"analyzer\":%s,\"cache_budget\":%zu,\"queries\":%zu,"
-        "\"seconds\":%.6f,\"qps\":%.1f,"
-        "\"hit_rate\":%.4f,\"exact_hits\":%llu,\"canonical_hits\":%llu,"
-        "\"compiles\":%llu,\"pruned\":%llu,"
-        "\"rewritten\":%llu,\"cache_entries\":%llu,\"evictions\":%llu}\n",
-        run.name.c_str(), analyzer ? "true" : "false", budget, storm.size(),
-        secs, arm.qps, arm.hit_rate,
-        static_cast<unsigned long long>(after.exact_hits - before.exact_hits),
-        static_cast<unsigned long long>(after.canonical_hits -
-                                        before.canonical_hits),
-        static_cast<unsigned long long>(arm.compiles),
-        static_cast<unsigned long long>(after.analyzer_pruned -
-                                        before.analyzer_pruned),
-        static_cast<unsigned long long>(after.analyzer_rewritten -
-                                        before.analyzer_rewritten),
-        static_cast<unsigned long long>(after.cache_entries),
-        static_cast<unsigned long long>(after.cache_evictions -
-                                        before.cache_evictions));
-  }
-  std::printf(
-      "intel storm: analyzer on %.0f qps at %.1f%% hit rate "
-      "(%llu recompiles) vs off %.0f qps at %.1f%% (%llu recompiles)\n\n",
-      arms[1].qps, 100.0 * arms[1].hit_rate,
-      static_cast<unsigned long long>(arms[1].compiles), arms[0].qps,
-      100.0 * arms[0].hit_rate,
-      static_cast<unsigned long long>(arms[0].compiles));
-}
 
 // Shadow-sampling cost and yield: warm single-thread throughput with
 // accuracy observability off / at the 1-in-256 default / at full
@@ -485,7 +365,6 @@ void RunDataset(const bench_util::DatasetRun& run,
     stages.Emit(run.name, "warm-batch", threads);
   }
 
-  RunIntelPhase(run, synopsis, reqs, config.seed);
   RunAccuracyPhase(run, synopsis, reqs);
   RunObs2Phase(run, synopsis, reqs);
 

@@ -6,9 +6,9 @@
 #      document maintenance suite, the flight-data observability suite
 #      (time-series store, SLO burn-rate engine, flight recorder,
 #      tail-based trace retention), and the query-intelligence suite:
-#      analyze_test pins the prune/rewrite soundness contracts against
-#      exact counts and bitwise differentials, prune_fuzz_smoke runs
-#      the 30k-iteration prune-soundness oracle)
+#      analyze_test pins the prune soundness contract against exact
+#      counts and bitwise differentials, prune_fuzz_smoke runs the
+#      30k-iteration prune-soundness oracle)
 #   2. quality slice: the accuracy-observability suite (shadow-sampling
 #      correctness, drift detection, export schema + export fuzz;
 #      ctest label `quality`)
@@ -22,13 +22,13 @@
 #
 # The fuzz, chaos, and simulator smokes run inside step 1 via their
 # ctest entries (label `smoke`; simulate_smoke runs every scenario
-# family — live_update_churn and the intel_alias_storm on/off pair
-# included — time-scaled and fails on any drain-invariant violation),
+# family — live_update_churn and intel_alias_storm included — time-
+# scaled and fails on any drain-invariant violation),
 # and the fuzz/chaos/prune smokes plus the live maintenance and
 # analyzer tests run again under ASan in step 4; the TSan slice also
 # drives simulator scenarios in concurrent mode: the live-churn
 # scenario with rebuilds racing traffic, and the analyzer alias storm
-# with shared pruned/rewritten plans probed across a worker pool. Run from the
+# with shared pruned answers probed across a worker pool. Run from the
 # repository root:
 #
 #   scripts/check_all.sh            # everything

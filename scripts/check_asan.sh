@@ -13,7 +13,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-FILTER="${1:-ServiceTest|SynopsisSalvage|FuzzHarness|fuzz_smoke|chaos_smoke|export_fuzz_smoke|prune_fuzz_smoke|ShadowSamplingTest|MaintenanceTest|LiveDocumentTest|LiveSynopsisTest|AnalyzeSat|AnalyzeRewrite|ServiceIntel|FlightRecorderTest|TimeSeriesTest|SloEngineTest|ServiceFlightTest|EstimateOptDiff|EstimatorJoinMode}"
+FILTER="${1:-ServiceTest|SynopsisSalvage|FuzzHarness|fuzz_smoke|chaos_smoke|export_fuzz_smoke|prune_fuzz_smoke|ShadowSamplingTest|MaintenanceTest|LiveDocumentTest|LiveSynopsisTest|AnalyzeSat|ServiceIntel|FlightRecorderTest|TimeSeriesTest|SloEngineTest|ServiceFlightTest|EstimateOptDiff|EstimatorJoinMode}"
 
 cmake -B build-asan -S . -DXEE_SANITIZE=address,undefined >/dev/null
 cmake --build build-asan -j"$(nproc)" \

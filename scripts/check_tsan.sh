@@ -32,7 +32,7 @@ build-tsan/bench/simulate --scenario=bursty_overload_chaos \
 build-tsan/bench/simulate --scenario=live_update_churn \
   --workers=2 --duration-ms=2000 >/dev/null
 # The analyzer alias storm in concurrent mode: workers racing to probe
-# and insert shared pruned/rewritten plans, against a small cache that
+# and insert shared pruned answers, against a small cache that
 # keeps evicting them (the query-intelligence data-race surface;
 # ServiceIntel's concurrent-batch test covers the same paths in-process).
 build-tsan/bench/simulate --scenario=intel_alias_storm \

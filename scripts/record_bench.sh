@@ -3,15 +3,15 @@
 # JSON at the repository root, so PRs can diff throughput and shadow-
 # sampling cost instead of eyeballing stdout. One combined file carries
 # bench_service_throughput (qps + delta-scraped per-stage latency + the
-# analyzer alias-storm contrast + the accuracy-sampling sweep + the
-# service_obs2 instrumentation on/obs-minimal overhead contrast),
+# accuracy-sampling sweep + the service_obs2 instrumentation
+# on/obs-minimal overhead contrast),
 # bench_update_throughput (incremental delta maintenance vs the
 # rebuild-per-delta and position-histogram baselines, plus estimate
 # latency quantiles with background rebuilds in flight), and the
 # simulator trajectories (every scenario family at its pinned seed,
-# live_update_churn, the intel_alias_storm on/off pair, and the
-# slo_burn SLO/flight-recorder scenario included: per-window rows plus
-# one summary row each):
+# live_update_churn, intel_alias_storm, and the slo_burn
+# SLO/flight-recorder scenario included: per-window rows plus one
+# summary row each):
 #
 #   {"bench_file_version":2,"recorded":{...config...},"rows":[...]}
 #

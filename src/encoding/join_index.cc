@@ -99,6 +99,36 @@ const uint64_t* PidJoinIndex::BelowPaths(xml::TagId above, xml::TagId below,
   return masks_.data() + (slot * 2 + half) * path_words_;
 }
 
+bool PidJoinIndex::Below(xml::TagId above, xml::TagId below,
+                         bool immediate) const {
+  XEE_CHECK(above == kWildcardTag || above < tag_count_);
+  XEE_CHECK(below == kWildcardTag || below < tag_count_);
+  // Pair row `a` is the set of tags occurring below `a` on some path.
+  auto row_has = [&](size_t a) {
+    const uint64_t* row = pair_rows_.data() + a * tag_words_;
+    if (below != kWildcardTag) {
+      return ((row[below >> 6] >> (below & 63)) & 1) != 0;
+    }
+    for (size_t w = 0; w < tag_words_; ++w) {
+      if (row[w] != 0) return true;
+    }
+    return false;
+  };
+  if (above == kWildcardTag) {
+    for (size_t a = 0; a < tag_count_; ++a) {
+      if (row_has(a)) return true;
+    }
+    return false;
+  }
+  if (!row_has(above)) return false;
+  if (!immediate || below == kWildcardTag) return true;
+  const uint64_t* child = BelowPaths(above, below, AxisKind::kChild);
+  for (size_t w = 0; w < path_words_; ++w) {
+    if (child[w] != 0) return true;
+  }
+  return false;
+}
+
 size_t PidJoinIndex::SizeBytes() const {
   return (cover_rows_.size() + pair_rows_.size() + masks_.size()) *
              sizeof(uint64_t) +

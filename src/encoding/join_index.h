@@ -24,10 +24,14 @@ namespace xee::encoding {
 /// the parent's tag. This index stores both terms as bit rows so a
 /// semi-join sweep decides whole lists with word ANDs.
 ///
+/// The pair index doubles as the static analyzer's tag-pair relation
+/// (DESIGN.md §15): Below() answers "does B ever occur below A on an
+/// encoded path" from the same rows the join reads.
+///
 /// Derived from the path structures (encoding table and decoded pid
 /// table) at Build / Deserialize time and shared immutably with patched
-/// clones, like TagReachability: deltas never change the path or pid
-/// set, so the index stays exact for the lifetime of those structures.
+/// clones: deltas never change the path or pid set, so the index stays
+/// exact for the lifetime of those structures.
 class PidJoinIndex {
  public:
   PidJoinIndex() = default;
@@ -57,6 +61,15 @@ class PidJoinIndex {
   /// per-tag candidates before it asks.
   const uint64_t* BelowPaths(xml::TagId above, xml::TagId below,
                              AxisKind axis) const;
+
+  /// True iff some encoded path has an occurrence of `below` strictly
+  /// below (with `immediate`: directly below) an occurrence of `above`.
+  /// Either side may be kWildcardTag, quantifying over all tags; on a
+  /// root-to-leaf path "has a descendant" and "has a child" coincide, so
+  /// wildcard answers ignore `immediate`. Every element pair related by
+  /// ancestry lies on one encoded path, so false proves that no `below`
+  /// element sits under an `above` element anywhere in the document.
+  bool Below(xml::TagId above, xml::TagId below, bool immediate) const;
 
   /// Heap bytes of the rows, masks and pair index.
   size_t SizeBytes() const;

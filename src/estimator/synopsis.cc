@@ -92,7 +92,7 @@ Synopsis Synopsis::Build(const xml::Document& doc,
       std::move(labeling.distinct_pids));
   s.table_ = std::make_shared<const encoding::EncodingTable>(
       std::move(labeling.table));
-  s.DerivePathIndexes();
+  s.DeriveJoinIndex();
   return s;
 }
 
@@ -110,7 +110,6 @@ Synopsis Synopsis::PatchedClone(const Synopsis& base,
   s.table_ = base.table_;
   s.pid_tree_ = base.pid_tree_;
   s.pid_bits_ = base.pid_bits_;
-  s.reach_ = base.reach_;
   s.join_index_ = base.join_index_;
   s.p_histos_ = std::move(p_histos);
   s.o_histos_ = std::move(o_histos);
@@ -118,9 +117,7 @@ Synopsis Synopsis::PatchedClone(const Synopsis& base,
   return s;
 }
 
-void Synopsis::DerivePathIndexes() {
-  reach_ = std::make_shared<const encoding::TagReachability>(
-      encoding::TagReachability::Build(*table_, tag_names_.size()));
+void Synopsis::DeriveJoinIndex() {
   join_index_ = std::make_shared<const encoding::PidJoinIndex>(
       encoding::PidJoinIndex::Build(*table_, *pid_bits_, tag_names_.size()));
 }

@@ -12,7 +12,6 @@
 #include "encoding/encoding_table.h"
 #include "encoding/join_index.h"
 #include "encoding/labeling.h"
-#include "encoding/reachability.h"
 #include "histogram/o_histogram.h"
 #include "histogram/p_histogram.h"
 #include "pidtree/collapsed_pid_tree.h"
@@ -124,6 +123,10 @@ class Synopsis {
     return tag_names_[t];
   }
   std::optional<xml::TagId> FindTag(const std::string& name) const;
+  /// Name -> id map behind FindTag (the static analyzer's tag view).
+  const std::unordered_map<std::string, xml::TagId>& tag_ids() const {
+    return tag_ids_;
+  }
   xml::TagId root_tag() const { return root_tag_; }
   encoding::PidRef root_pid() const { return root_pid_; }
 
@@ -145,13 +148,11 @@ class Synopsis {
   /// The full lex-sorted decoded pid table (1-based refs index it at
   /// ref - 1). Shared with patched clones.
   const std::vector<PathIdBits>& AllPidBits() const { return *pid_bits_; }
-  /// Tag-pair reachability closure over the encoding table, for the
-  /// static analyzer (DESIGN.md §15). Derived from table_ at Build /
-  /// Deserialize time and shared into patched clones like the other
-  /// path structures (deltas never extend the path set).
-  const encoding::TagReachability& reach() const { return *reach_; }
   /// Cover rows and tag-pair path masks of the word-parallel path-id
-  /// join (DESIGN.md §13). Derived and shared exactly like reach().
+  /// join (DESIGN.md §13), also the static analyzer's tag-pair relation
+  /// (§15). Derived from table_ and the pid table at Build / Deserialize
+  /// time and shared into patched clones like the other path structures
+  /// (deltas never extend the path set).
   const encoding::PidJoinIndex& join_index() const { return *join_index_; }
 
   // --- Histograms -------------------------------------------------------
@@ -202,12 +203,11 @@ class Synopsis {
   std::shared_ptr<const encoding::EncodingTable> table_;
   std::shared_ptr<const pidtree::CollapsedPidTree> pid_tree_;
   std::shared_ptr<const std::vector<PathIdBits>> pid_bits_;
-  std::shared_ptr<const encoding::TagReachability> reach_;
   std::shared_ptr<const encoding::PidJoinIndex> join_index_;
 
-  /// Derives reach_ and join_index_ from table_, pid_bits_ and
-  /// tag_names_; call after all three are set.
-  void DerivePathIndexes();
+  /// Derives join_index_ from table_, pid_bits_ and tag_names_; call
+  /// after all three are set.
+  void DeriveJoinIndex();
 
   std::vector<histogram::PHistogram> p_histos_;  // by TagId
   std::vector<histogram::OHistogram> o_histos_;  // by TagId; empty if no order

@@ -274,7 +274,7 @@ Result<Synopsis> Synopsis::Deserialize(std::string_view data,
         std::move(pid_bits));
     out.pid_tree_ =
         std::make_shared<const pidtree::CollapsedPidTree>(*out.pid_bits_);
-    out.DerivePathIndexes();
+    out.DeriveJoinIndex();
     return out;
   }
   uint8_t has_values = 0;
@@ -315,7 +315,7 @@ Result<Synopsis> Synopsis::Deserialize(std::string_view data,
       std::move(pid_bits));
   out.pid_tree_ =
       std::make_shared<const pidtree::CollapsedPidTree>(*out.pid_bits_);
-  out.DerivePathIndexes();
+  out.DeriveJoinIndex();
   return out;
 }
 

@@ -138,12 +138,10 @@ class Harness {
   Report RunServiceFuzz(const FuzzOptions& options) const;
   /// Static-analyzer battery (xpath/analyze.h): grammar queries plus
   /// programmatic unsat mutations (unknown tags, absolute-root
-  /// mismatches, order-constraint cycles) against the exact evaluator.
-  /// Oracles: every kUnsat verdict exact-counts to 0 on the bed's
-  /// document (prune soundness); every prune_safe verdict estimates to
-  /// bitwise 0.0; AnalyzeRewrite preserves the estimate bitwise and the
-  /// exact count, reaches a fixpoint, and leaves the query canonical;
-  /// QueryContains(sup, sub) == true implies count(sup) >= count(sub).
+  /// mismatches, reversed order constraints) against the exact
+  /// evaluator. Oracles: every kUnsat verdict exact-counts to 0 on the
+  /// bed's document (prune-unsound); every prune_safe verdict estimates
+  /// to bitwise 0.0 (prune-bitwise).
   Report RunAnalyzeFuzz(const FuzzOptions& options) const;
   /// Delta battery: randomized mutation streams (sibling clones,
   /// novel-tag inserts, subtree deletes) through LiveSynopsis against a
@@ -201,7 +199,7 @@ class Harness {
   void CheckMonotonicity(const TestBed& bed, Rng& rng, const xpath::Query& q,
                          Report* rep) const;
   /// Runs the analyzer-oracle battery on one (valid) query.
-  void CheckAnalyze(const TestBed& bed, Rng& rng, const xpath::Query& q,
+  void CheckAnalyze(const TestBed& bed, const xpath::Query& q,
                     Report* rep) const;
 
   std::vector<std::unique_ptr<TestBed>> beds_;

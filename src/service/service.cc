@@ -33,18 +33,6 @@ uint64_t NsSince(Clock::time_point start) {
 
 namespace {
 
-/// The static analyzer's window into a pinned synopsis snapshot. The
-/// returned view captures `syn` by reference; it must not outlive the
-/// request's snapshot.
-xpath::AnalyzerView MakeAnalyzerView(const estimator::Synopsis& syn) {
-  xpath::AnalyzerView view;
-  view.reach = &syn.reach();
-  view.find_tag = [&syn](const std::string& name) { return syn.FindTag(name); };
-  view.root_tag = syn.root_tag();
-  view.root_name = syn.TagName(syn.root_tag());
-  return view;
-}
-
 obs::AccuracyOptions MakeAccuracyOptions(const ServiceOptions& o) {
   obs::AccuracyOptions a;
   a.sample = o.accuracy_sample;
@@ -560,27 +548,19 @@ EstimateOutcome EstimationService::EstimateAdmitted(
       obs::ScopedStageTimer t(&spans, Stage::kCanonicalize,
                               stats_.StageHist(Stage::kCanonicalize), timed);
       canonical = xpath::Canonicalize(parsed.value());
-      // Static analysis (DESIGN.md §15) on the exact-miss path, inside
-      // the canonicalize stage (it is part of producing the cache key).
-      // A prune-safe unsatisfiability proof answers 0 below without a
-      // join; otherwise the estimator-invariant rewrites run, so alias
-      // spellings serialize to one shared key. The prune gate requires
+      // Satisfiability pruning (DESIGN.md §15) on the exact-miss path,
+      // inside the canonicalize stage. A prune-safe unsatisfiability
+      // proof answers 0 below without a join. The prune gate requires
       // the estimator to have answered exactly 0.0 itself — wildcard-
       // order and missing-order-statistics shapes keep their
       // kUnsupported / degraded surface, bit-for-bit.
-      if (options_.enable_analyzer) {
-        stats_.analyzer_checked.Inc();
-        const xpath::AnalyzerView view = MakeAnalyzerView(*snap->synopsis);
-        const xpath::Analysis analysis =
-            xpath::AnalyzeSatisfiability(canonical, view);
-        if (analysis.verdict == xpath::SatVerdict::kUnsat &&
-            analysis.prune_safe &&
-            (canonical.orders.empty() || snap->synopsis->has_order())) {
-          prune_now = true;
-        } else if (xpath::AnalyzeRewrite(&canonical, view) > 0) {
-          stats_.analyzer_rewritten.Inc();
-        }
-      }
+      stats_.analyzer_checked.Inc();
+      const estimator::Synopsis& syn = *snap->synopsis;
+      const xpath::Analysis analysis = xpath::AnalyzeSatisfiability(
+          canonical, {&syn.join_index(), &syn.tag_ids(), syn.root_tag()});
+      prune_now = analysis.verdict == xpath::SatVerdict::kUnsat &&
+                  analysis.prune_safe &&
+                  (canonical.orders.empty() || syn.has_order());
       body = xpath::SerializeKey(canonical);
     }
 

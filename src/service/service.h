@@ -36,13 +36,6 @@ struct ServiceOptions {
   size_t plan_cache_bytes = 8ull << 20;
   /// Answer-cache shard count (contention vs. bookkeeping overhead).
   size_t cache_shards = 8;
-  /// Run the static query analyzer (xpath/analyze.h, DESIGN.md §15) on
-  /// exact-key misses: answer provably-empty queries 0 in O(plan) with
-  /// outcome "pruned", and rewrite queries to estimator-invariant
-  /// cheaper forms so alias families share one cached answer. Served
-  /// numbers are bit-identical with the analyzer on or off; only the
-  /// pruned/rewritten labels and the cache economics change.
-  bool enable_analyzer = true;
   /// Worker threads for EstimateBatch; 0 = hardware concurrency.
   size_t threads = 0;
   /// Admission control: maximum requests estimating at once (single

@@ -16,8 +16,6 @@ ServiceStats::ServiceStats(obs::Registry* registry)
           registry->GetCounter("service.analyzer", "outcome=checked")),
       analyzer_pruned(
           registry->GetCounter("service.analyzer", "outcome=pruned")),
-      analyzer_rewritten(
-          registry->GetCounter("service.analyzer", "outcome=rewritten")),
       shed(registry->GetCounter("service.outcome", "reason=shed")),
       shed_single(
           registry->GetCounter("service.shed", "reason=admission_single")),
@@ -64,7 +62,6 @@ ServiceStatsSnapshot ServiceStats::Snap(const LruStats& cache) const {
   s.misses = misses.value();
   s.analyzer_checked = analyzer_checked.value();
   s.analyzer_pruned = analyzer_pruned.value();
-  s.analyzer_rewritten = analyzer_rewritten.value();
   s.shed = shed.value();
   s.shed_single = shed_single.value();
   s.shed_batch = shed_batch.value();
@@ -107,10 +104,9 @@ std::string ServiceStatsSnapshot::ToString() const {
                    HumanBytes(cache_bytes).c_str(),
                    static_cast<unsigned long long>(cache_evictions));
   out += StrFormat(
-      "analyzer: %llu checked, %llu pruned, %llu rewritten\n",
+      "analyzer: %llu checked, %llu pruned\n",
       static_cast<unsigned long long>(analyzer_checked),
-      static_cast<unsigned long long>(analyzer_pruned),
-      static_cast<unsigned long long>(analyzer_rewritten));
+      static_cast<unsigned long long>(analyzer_pruned));
   out += StrFormat(
       "robustness: %llu shed (%llu single, %llu batch), %llu degraded, "
       "%llu deadline-exceeded, %llu quarantined\n",

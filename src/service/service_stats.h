@@ -31,12 +31,9 @@ struct ServiceStatsSnapshot {
   // Static-analyzer outcomes (DESIGN.md §15). `analyzer_checked` counts
   // cache-miss requests the analyzer examined; `analyzer_pruned` the
   // subset answered 0 by a satisfiability proof (cache hits on a pruned
-  // answer count here too — the label follows the answer); a request
-  // counts in `analyzer_rewritten` when at least one rewrite rule fired
-  // on its query.
+  // answer count here too — the label follows the answer).
   uint64_t analyzer_checked = 0;
   uint64_t analyzer_pruned = 0;
-  uint64_t analyzer_rewritten = 0;
 
   // Robustness outcomes: requests shed by admission control, answered
   // degraded (order statistics dropped), rejected for an expired
@@ -99,7 +96,6 @@ struct ServiceStats {
   obs::Counter& misses;
   obs::Counter& analyzer_checked;
   obs::Counter& analyzer_pruned;
-  obs::Counter& analyzer_rewritten;
   obs::Counter& shed;
   obs::Counter& shed_single;
   obs::Counter& shed_batch;

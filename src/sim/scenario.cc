@@ -314,14 +314,14 @@ Scenario IntelAliasStorm() {
   s.arrival.kind = ArrivalModel::Kind::kPoisson;
   s.arrival.rate_qps = 350.0;
 
-  // The plan-sharing stress: a long-tail family table (shallow Zipf over
+  // The cache-pressure stress: a long-tail family table (shallow Zipf over
   // 128 families) against a small answer cache, with *semantic*
   // respellings on top of the syntactic ones. Every "//x..." family has
   // up to three live spellings — itself, an axis-expanded alias, and the
   // root-anchored "/SITE//x..." form. The first two share a canonical
-  // key by construction; only the analyzer's anchor/elide rewrites
-  // reunite the third with the family's answer. Small caches make the
-  // difference measurable as hit-rate, not just entry counts.
+  // key by construction; the third is a different canonical query with
+  // its own cache entry, so each family can hold two canonical entries
+  // against the small cache.
   s.tenants = 4;
   s.dataset = "xmark";
   s.dataset_scale = 0.05;
@@ -341,17 +341,6 @@ Scenario IntelAliasStorm() {
   s.traffic.p_infinite = 0.90;
   s.traffic.p_expired = 0.01;
   s.traffic.finite_ms = 2'000;
-  return s;
-}
-
-Scenario IntelAliasStormOff() {
-  // Same seed, same traffic, same caches — the control arm. The request
-  // stream and every served estimate are bit-identical to the on-arm
-  // (the analyzer is semantics-preserving), so the two trajectories
-  // share one fingerprint; only the cache-economics columns move.
-  Scenario s = IntelAliasStorm();
-  s.name = "intel_alias_storm_off";
-  s.enable_analyzer = false;
   return s;
 }
 
@@ -410,8 +399,7 @@ Scenario SloBurn() {
 std::vector<std::string> ScenarioNames() {
   return {"poisson_steady",    "bursty_overload_chaos",
           "diurnal_alias_storm", "live_update_churn",
-          "intel_alias_storm", "intel_alias_storm_off",
-          "slo_burn"};
+          "intel_alias_storm", "slo_burn"};
 }
 
 bool ScenarioByName(const std::string& name, Scenario* out) {
@@ -425,8 +413,6 @@ bool ScenarioByName(const std::string& name, Scenario* out) {
     *out = LiveUpdateChurn();
   } else if (name == "intel_alias_storm") {
     *out = IntelAliasStorm();
-  } else if (name == "intel_alias_storm_off") {
-    *out = IntelAliasStormOff();
   } else if (name == "slo_burn") {
     *out = SloBurn();
   } else {

@@ -65,13 +65,6 @@ struct Scenario {
   double dataset_scale = 0.05;
   size_t max_inflight = 64;
   size_t plan_cache_bytes = 8ull << 20;
-  /// Static query analyzer (ServiceOptions::enable_analyzer): prune
-  /// provably-empty queries and rewrite alias families onto shared
-  /// plans. Served bits are analyzer-invariant, so flipping this must
-  /// not move the deterministic trajectory — only cache economics.
-  /// The intel_alias_storm / intel_alias_storm_off pair measures the
-  /// contrast.
-  bool enable_analyzer = true;
   size_t accuracy_sample = 0;  ///< 0 = shadow sampling off
 
   /// Virtual service time of an admitted, successful request:
@@ -136,21 +129,16 @@ Scenario ScaledScenario(Scenario s, double factor);
 /// The named scenario families: Poisson steady-state, bursty overload
 /// with a chaos window, diurnal ramp with an alias storm, live
 /// documents under delta churn with drift-triggered self-healing, and
-/// the long-tail semantic-alias storm with the analyzer on vs off.
+/// the long-tail semantic-alias storm.
 Scenario PoissonSteady();
 Scenario BurstyOverloadChaos();
 Scenario DiurnalAliasStorm();
 Scenario LiveUpdateChurn();
 /// A long-tail workload (shallow Zipf over many families) where half
 /// the requests respell their family semantically ("/ROOT//..." for
-/// "//..."), against a deliberately small answer cache: the analyzer's
-/// rewrites collapse each family's spellings onto one cached answer.
+/// "//...", its own answer-cache key), against a deliberately small
+/// answer cache, with impossible tag edges that the analyzer prunes.
 Scenario IntelAliasStorm();
-/// IntelAliasStorm with enable_analyzer = false and a distinct name:
-/// the same seed and traffic, every semantic spelling compiling its own
-/// plan. Fingerprints of the pair must be equal (the analyzer is
-/// invisible in served outcomes); only the cache economics differ.
-Scenario IntelAliasStormOff();
 /// Bursty overload through the flight-data pipeline: the burst's
 /// shed + deadline failures burn the availability SLO's error budget,
 /// the multi-window alert fires mid-burst and resolves in the off

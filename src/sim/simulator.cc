@@ -220,7 +220,6 @@ SimResult RunScenario(const Scenario& sc) {
 
   service::ServiceOptions opt;
   opt.plan_cache_bytes = sc.plan_cache_bytes;
-  opt.enable_analyzer = sc.enable_analyzer;
   opt.max_inflight = sc.max_inflight;
   opt.accuracy_sample = sc.accuracy_sample;
   opt.auto_rebuild = sc.auto_rebuild;

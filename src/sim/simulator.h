@@ -50,10 +50,9 @@ struct WindowRow {
   obs::HistogramSnapshot request_ns;      ///< timed-request latency, delta
   obs::HistogramSnapshot retry_after_ms;  ///< shed retry hints, delta
   uint64_t shadow_recorded = 0;           ///< accuracy samples, delta
-  /// Requests answered 0 by the analyzer's unsat proof, delta. Measured
-  /// rather than fingerprinted on purpose: the on/off scenario pair
-  /// must share one fingerprint, and this is exactly the column that
-  /// differs between the arms.
+  /// Requests answered 0 by the analyzer's unsat proof, delta. Reported,
+  /// not fingerprinted: the served outcomes already fix the answers, and
+  /// folding the label in would move every recorded fingerprint.
   uint64_t analyzer_pruned = 0;
   uint64_t rebuilds_done = 0;  ///< background rebuilds published, delta;
                                ///< wall-clock timing, hence not

@@ -33,13 +33,11 @@ struct TrafficModel {
 
   /// Probability that a request respells its family *semantically*: a
   /// "//"-headed query is re-issued as "/<root_name>//..." — a different
-  /// canonical query (new answer-cache key) that the static analyzer's
-  /// anchor/elide rewrites collapse back onto the family's answer. With
-  /// the analyzer off, every such spelling is estimated and cached on
-  /// its own; the intel alias-storm scenarios measure
-  /// exactly that contrast. Guarded by `> 0 &&` in the source so a zero
-  /// probability consumes no rng draws and existing scenario
-  /// fingerprints stay bit-identical.
+  /// canonical query, so it is estimated and cached under its own
+  /// answer-cache key (same number, one more entry per family): the
+  /// intel alias-storm scenario's cache-pressure knob. Guarded by
+  /// `> 0 &&` in the source so a zero probability consumes no rng draws
+  /// and existing scenario fingerprints stay bit-identical.
   double semantic_alias_prob = 0.0;
   /// Document root tag used by semantic aliasing. The simulator fills
   /// this from the dataset at run time; empty disables the respelling.
@@ -92,9 +90,9 @@ class TrafficSource {
   /// root_name (every element except the root has the root as a proper
   /// ancestor, so anchoring under the root changes nothing — unless the
   /// first step could itself bind the root, which the guards exclude).
-  /// Unlike AliasSpelling the result is a *different canonical query*;
-  /// only the analyzer's rewrites reunite it with the original's plan.
-  /// Returns `query` unchanged when the guards fail.
+  /// Unlike AliasSpelling the result is a *different canonical query*
+  /// with its own answer-cache entry. Returns `query` unchanged when the
+  /// guards fail.
   static std::string SemanticAliasSpelling(const std::string& root_name,
                                            const std::string& query);
 

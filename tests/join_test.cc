@@ -172,6 +172,94 @@ TEST_P(JoinDatasetTest, FactorizationMatchesScalarTest) {
       datagen::GenerateByName(GetParam(), gopt).value());
 }
 
+// PidJoinIndex::Below is the tag-pair relation the static analyzer's
+// impossible-edge prune reads (DESIGN.md §15). Checked exhaustively
+// against a brute-force scan of the encoding table's paths: every tag
+// pair plus the wildcard on either side, for both axes.
+void ExpectBelowMatchesPathScan(const xml::Document& doc) {
+  const encoding::Labeling lab = encoding::LabelDocument(doc);
+  const encoding::PidJoinIndex index = encoding::PidJoinIndex::Build(
+      lab.table, lab.distinct_pids, doc.TagCount());
+  std::vector<xml::TagId> tags{encoding::kWildcardTag};
+  for (xml::TagId t = 0; t < doc.TagCount(); ++t) tags.push_back(t);
+  size_t related = 0, checked = 0;
+  for (xml::TagId above : tags) {
+    for (xml::TagId below : tags) {
+      for (bool immediate : {true, false}) {
+        bool want = false;
+        for (uint32_t enc = 1; enc <= lab.table.PathCount() && !want; ++enc) {
+          want = lab.table.TagBelowOnPath(enc, above, below, immediate);
+        }
+        ASSERT_EQ(index.Below(above, below, immediate), want)
+            << "tags " << above << "/" << below << " immediate " << immediate;
+        related += want;
+        ++checked;
+      }
+    }
+  }
+  // Both answers occur, so the comparison is not vacuous.
+  EXPECT_GT(related, 0u);
+  EXPECT_LT(related, checked);
+}
+
+TEST(PidJoinIndexTest, BelowMatchesPathScanOnPaperExample) {
+  ExpectBelowMatchesPathScan(xee::testing::MakePaperDocument());
+}
+
+TEST_P(JoinDatasetTest, BelowMatchesPathScan) {
+  datagen::GenOptions gopt;
+  gopt.scale = 0.1;
+  ExpectBelowMatchesPathScan(
+      datagen::GenerateByName(GetParam(), gopt).value());
+}
+
+// The paper document's distinct root-to-leaf tag paths are exactly
+// Root/A/B/D, Root/A/B/E, Root/A/C/E, Root/A/C/F; every fact below reads
+// off those four lines.
+class Reachability : public ::testing::Test {
+ protected:
+  Reachability()
+      : doc_(xee::testing::MakePaperDocument()),
+        lab_(encoding::LabelDocument(doc_)),
+        index_(encoding::PidJoinIndex::Build(lab_.table, lab_.distinct_pids,
+                                             doc_.TagCount())) {}
+
+  xml::TagId Tag(const char* name) const { return *doc_.FindTag(name); }
+
+  xml::Document doc_;
+  encoding::Labeling lab_;
+  encoding::PidJoinIndex index_;
+};
+
+TEST_F(Reachability, PaperFigureOneClosure) {
+  const encoding::PidJoinIndex& r = index_;
+  const xml::TagId root = Tag("Root"), a = Tag("A"), b = Tag("B"),
+                   c = Tag("C"), d = Tag("D"), e = Tag("E"), f = Tag("F");
+
+  EXPECT_TRUE(r.Below(root, a, /*immediate=*/true));
+  EXPECT_TRUE(r.Below(root, d, /*immediate=*/false));
+  EXPECT_FALSE(r.Below(root, d, /*immediate=*/true));  // D only at depth 3
+  EXPECT_TRUE(r.Below(b, e, /*immediate=*/true));
+  EXPECT_TRUE(r.Below(c, f, /*immediate=*/true));
+  EXPECT_FALSE(r.Below(c, d, /*immediate=*/false));  // C's leaves are E, F
+  EXPECT_FALSE(r.Below(a, root, /*immediate=*/false));  // no upward relation
+  EXPECT_FALSE(r.Below(f, e, /*immediate=*/false));     // F is a leaf
+}
+
+TEST_F(Reachability, WildcardQuantifiesOverAllTags) {
+  const encoding::PidJoinIndex& r = index_;
+  const xml::TagId d = Tag("D"), f = Tag("F"), root = Tag("Root");
+  EXPECT_TRUE(r.Below(encoding::kWildcardTag, d, false));
+  EXPECT_TRUE(r.Below(root, encoding::kWildcardTag, true));
+  // Nothing sits above the root, whatever the tag asked for.
+  EXPECT_FALSE(r.Below(encoding::kWildcardTag, root, false));
+  // Leaves have nothing below them, whatever the tag asked for.
+  EXPECT_FALSE(r.Below(d, encoding::kWildcardTag, false));
+  EXPECT_FALSE(r.Below(f, encoding::kWildcardTag, false));
+  // Both sides wildcarded: "is any pair related at all".
+  EXPECT_TRUE(r.Below(encoding::kWildcardTag, encoding::kWildcardTag, true));
+}
+
 INSTANTIATE_TEST_SUITE_P(AllDatasets, JoinDatasetTest,
                          ::testing::Values("ssplays", "dblp", "xmark"));
 

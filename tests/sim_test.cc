@@ -402,30 +402,16 @@ TEST(SimulatorTest, DifferentSeedDifferentFingerprint) {
   EXPECT_NE(a.fingerprint, b.fingerprint);
 }
 
-TEST(SimulatorTest, AnalyzerOnAndOffShareOneFingerprint) {
-  // The intel pair: identical seed and traffic, analyzer on vs off.
-  // Served outcomes are analyzer-invariant, so the deterministic
-  // trajectories — and hence the fingerprints — must be bit-identical;
-  // only the measured cache-economics columns may differ. This is the
-  // sim-scale restatement of analyze_test's bitwise differentials.
-  const sim::SimResult on =
-      sim::RunScenario(sim::ScaledScenario(sim::IntelAliasStorm(), 0.05));
-  const sim::SimResult off =
-      sim::RunScenario(sim::ScaledScenario(sim::IntelAliasStormOff(), 0.05));
-  EXPECT_TRUE(on.ok()) << on.invariants.Summary();
-  EXPECT_TRUE(off.ok()) << off.invariants.Summary();
-  EXPECT_GT(on.totals.arrivals, 50u);
-  EXPECT_EQ(on.fingerprint, off.fingerprint);
-
+TEST(SimulatorTest, IntelAliasStormPrunes) {
   // The storm's grammar families include impossible tag edges, so the
-  // on-arm must actually prune; the off-arm must never report one.
-  uint64_t pruned_on = 0, pruned_off = 0;
-  for (const sim::WindowRow& r : on.trajectory) pruned_on += r.analyzer_pruned;
-  for (const sim::WindowRow& r : off.trajectory) {
-    pruned_off += r.analyzer_pruned;
-  }
-  EXPECT_GT(pruned_on, 0u);
-  EXPECT_EQ(pruned_off, 0u);
+  // analyzer must actually prune some of its requests.
+  const sim::SimResult r =
+      sim::RunScenario(sim::ScaledScenario(sim::IntelAliasStorm(), 0.05));
+  EXPECT_TRUE(r.ok()) << r.invariants.Summary();
+  EXPECT_GT(r.totals.arrivals, 50u);
+  uint64_t pruned = 0;
+  for (const sim::WindowRow& w : r.trajectory) pruned += w.analyzer_pruned;
+  EXPECT_GT(pruned, 0u);
 }
 
 TEST(SimulatorTest, ChaosScenarioIsDeterministicAndBudgeted) {

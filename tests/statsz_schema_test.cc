@@ -89,6 +89,8 @@ TEST_F(StatszSchemaTest, TopLevelSectionsAndScrapedKeys) {
            "service.plan_cache{outcome=canonical_hit}",
            "service.plan_cache{outcome=miss}",
            "service.outcome{reason=deadline_exceeded}",
+           "service.analyzer{outcome=checked}",
+           "service.analyzer{outcome=pruned}",
            "accuracy.samples{phase=started}",
            "accuracy.samples{phase=recorded}",
        }) {
@@ -104,8 +106,10 @@ TEST_F(StatszSchemaTest, TopLevelSectionsAndScrapedKeys) {
       counters.Find("service.plan_cache{outcome=canonical_hit}")->number,
       1.0);
   // One answer cache: no second cache tier exports rows of its own.
+  // Pruning is the whole analyzer: no rewrite outcome is exported.
   for (const auto& [key, value] : counters.members) {
     EXPECT_EQ(key.find("memo"), std::string::npos) << key;
+    EXPECT_EQ(key.find("rewritten"), std::string::npos) << key;
   }
 
   // Answer-cache occupancy gauges (named for the plan cache they
