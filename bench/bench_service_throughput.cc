@@ -8,14 +8,20 @@
 //   {"bench":"service_throughput","dataset":"xmark","mode":"warm",
 //    "threads":4,"queries":...,"seconds":...,"qps":...}
 //
-// A final phase sweeps the shadow-sampling rate (off / 1-in-256 default
-// / full) and emits "service_accuracy" rows with the qps cost and the
-// shadow volume + aggregate q-error each rate buys.
+// Later phases sweep the shadow-sampling rate (off / 1-in-256 default
+// / full) and emit "service_accuracy" rows with the qps cost and the
+// shadow volume + aggregate q-error each rate buys; measure the
+// instrumentation cost ("service_obs2"); and measure how the warm path
+// scales with independent clients and batch fan-out ("service_clients").
 //
 // Flags: the shared bench flags (--scale, --queries, --seed, --dataset).
 
 #include <algorithm>
+#include <array>
+#include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -304,6 +310,137 @@ void RunObs2Phase(const bench_util::DatasetRun& run,
       100.0 * (q1_ratio - 1.0), 100.0 * (q3_ratio - 1.0));
 }
 
+// Warm-path scaling (DESIGN.md §7): T = 1/2/4 independent clients, each
+// looping exact repeats through Estimate on warm answers, and one client
+// running the whole query set through EstimateBatch against the same
+// batch run inline (Estimate per member on the client thread). Both the
+// shipped options and service::ObsMinimal are measured: the first is
+// what callers get, the second is the floor the warm path can reach.
+//
+// Methodology as in the obs2 phase: every service is built and warmed up
+// front, and each rep measures every (arm, mode, T) cell once in a fixed
+// interleaved order, so drift hits all cells alike. A cell runs for
+// kClientSlice of wall time; its qps is the completed requests over the
+// slice. Rows report the median over reps with the quartiles; the
+// scaling ratios (4 clients vs 1, batch vs inline) are medians of the
+// per-rep ratios, which cancel whatever the machine did in that rep.
+void RunClientsPhase(const std::string& dataset,
+                     const std::shared_ptr<const estimator::Synopsis>& syn,
+                     const std::vector<service::QueryRequest>& reqs) {
+  constexpr size_t kReps = 9;
+  constexpr auto kClientSlice = std::chrono::milliseconds(100);
+  constexpr size_t kClientCounts[] = {1, 2, 4};
+  using Clock = std::chrono::steady_clock;
+
+  service::ServiceOptions on_opt;  // defaults (threads = hardware)
+  const service::ServiceOptions arms[] = {on_opt,
+                                          service::ObsMinimal(on_opt)};
+  const char* arm_names[] = {"default", "obs-minimal"};
+  std::vector<std::unique_ptr<service::EstimationService>> svcs;
+  for (const service::ServiceOptions& o : arms) {
+    svcs.push_back(std::make_unique<service::EstimationService>(o));
+    svcs.back()->registry().Register(dataset, syn);
+    (void)svcs.back()->EstimateBatch(reqs);  // warm the answers
+    for (const service::QueryRequest& r : reqs) (void)svcs.back()->Estimate(r);
+  }
+
+  // `clients` threads loop Estimate over the query set (each from its
+  // own offset) for one slice; returns requests per second.
+  auto run_clients = [&](service::EstimationService& svc, size_t clients) {
+    std::atomic<uint64_t> done{0};
+    std::atomic<bool> go{false};
+    std::vector<std::thread> threads;
+    for (size_t c = 0; c < clients; ++c) {
+      threads.emplace_back([&, c] {
+        while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+        const Clock::time_point end = Clock::now() + kClientSlice;
+        uint64_t n = 0;
+        for (size_t i = c * reqs.size() / clients; Clock::now() < end;) {
+          for (size_t k = 0; k < 64; ++k, ++n) {
+            (void)svc.Estimate(reqs[i]);
+            if (++i == reqs.size()) i = 0;
+          }
+        }
+        done.fetch_add(n);
+      });
+    }
+    const Clock::time_point start = Clock::now();
+    go.store(true, std::memory_order_release);
+    for (std::thread& t : threads) t.join();
+    const double secs =
+        std::chrono::duration<double>(Clock::now() - start).count();
+    return static_cast<double>(done.load()) / secs;
+  };
+  // The whole query set per call, through EstimateBatch or inline.
+  auto run_batches = [&](service::EstimationService& svc, bool batch) {
+    const Clock::time_point start = Clock::now();
+    const Clock::time_point end = start + kClientSlice;
+    uint64_t n = 0;
+    while (Clock::now() < end) {
+      if (batch) {
+        (void)svc.EstimateBatch(reqs);
+      } else {
+        for (const service::QueryRequest& r : reqs) (void)svc.Estimate(r);
+      }
+      n += reqs.size();
+    }
+    const double secs =
+        std::chrono::duration<double>(Clock::now() - start).count();
+    return static_cast<double>(n) / secs;
+  };
+
+  // cells[arm][k]: k < 3 are the client counts, 3 = batch, 4 = inline.
+  constexpr size_t kCells = std::size(kClientCounts) + 2;
+  std::vector<double> qps[2][kCells];
+  for (size_t rep = 0; rep < kReps; ++rep) {
+    for (size_t arm = 0; arm < 2; ++arm) {
+      service::EstimationService& svc = *svcs[arm];
+      for (size_t k = 0; k < std::size(kClientCounts); ++k) {
+        qps[arm][k].push_back(run_clients(svc, kClientCounts[k]));
+      }
+      qps[arm][3].push_back(run_batches(svc, /*batch=*/true));
+      qps[arm][4].push_back(run_batches(svc, /*batch=*/false));
+    }
+  }
+
+  // Median and quartiles of a sample (sorted copy).
+  auto quartiles = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return std::array<double, 3>{v[v.size() / 4], v[v.size() / 2],
+                                 v[3 * v.size() / 4]};
+  };
+  auto ratio = [&](const std::vector<double>& num,
+                   const std::vector<double>& den) {
+    std::vector<double> r;
+    for (size_t i = 0; i < num.size(); ++i) r.push_back(num[i] / den[i]);
+    return quartiles(r);
+  };
+  for (size_t arm = 0; arm < 2; ++arm) {
+    for (size_t k = 0; k < kCells; ++k) {
+      const std::array<double, 3> q = quartiles(qps[arm][k]);
+      const bool clients = k < std::size(kClientCounts);
+      std::printf(
+          "{\"bench\":\"service_clients\",\"dataset\":\"%s\","
+          "\"arm\":\"%s\",\"mode\":\"%s\",\"clients\":%zu,"
+          "\"pool_threads\":%zu,\"reps\":%zu,\"median_qps\":%.1f,"
+          "\"q1_qps\":%.1f,\"q3_qps\":%.1f,\"iqr_qps\":%.1f}\n",
+          dataset.c_str(), arm_names[arm],
+          clients ? "clients" : (k == 3 ? "batch" : "inline"),
+          clients ? kClientCounts[k] : size_t{1}, svcs[arm]->threads(),
+          kReps, q[1], q[0], q[2], q[2] - q[0]);
+    }
+    const std::array<double, 3> scale = ratio(qps[arm][2], qps[arm][0]);
+    const std::array<double, 3> fan = ratio(qps[arm][3], qps[arm][4]);
+    const std::array<double, 3> one = quartiles(qps[arm][0]);
+    std::printf(
+        "%s: 4 clients %.2fx one client (IQR %.2f..%.2f); batch %.2fx "
+        "inline (IQR %.2f..%.2f); one-client warm hit %.3f us\n",
+        arm_names[arm], scale[1], scale[0], scale[2], fan[1], fan[0], fan[2],
+        1e6 / one[1]);
+  }
+  std::printf("\n");
+}
+
 void RunDataset(const bench_util::DatasetRun& run,
                 const bench_util::BenchConfig& config) {
   bench_util::PrintHeader("Service throughput — " + run.name);
@@ -367,6 +504,7 @@ void RunDataset(const bench_util::DatasetRun& run,
 
   RunAccuracyPhase(run, synopsis, reqs);
   RunObs2Phase(run, synopsis, reqs);
+  RunClientsPhase(run.name, synopsis, reqs);
 
   std::printf("\n");
 }

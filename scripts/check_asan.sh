@@ -13,11 +13,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-FILTER="${1:-ServiceTest|SynopsisSalvage|FuzzHarness|fuzz_smoke|chaos_smoke|export_fuzz_smoke|prune_fuzz_smoke|ShadowSamplingTest|MaintenanceTest|LiveDocumentTest|LiveSynopsisTest|AnalyzeSat|ServiceIntel|FlightRecorderTest|TimeSeriesTest|SloEngineTest|ServiceFlightTest|EstimateOptDiff|EstimatorJoinMode}"
+FILTER="${1:-ServiceTest|ThreadPool|ShardedLru|SynopsisSalvage|FuzzHarness|fuzz_smoke|chaos_smoke|export_fuzz_smoke|prune_fuzz_smoke|ShadowSamplingTest|MaintenanceTest|LiveDocumentTest|LiveSynopsisTest|AnalyzeSat|ServiceIntel|FlightRecorderTest|TimeSeriesTest|SloEngineTest|ServiceFlightTest|EstimateOptDiff|EstimatorJoinMode}"
 
 cmake -B build-asan -S . -DXEE_SANITIZE=address,undefined >/dev/null
 cmake --build build-asan -j"$(nproc)" \
-  --target service_test serialize_test fuzz_test fuzz_driver \
+  --target service_test common_test serialize_test fuzz_test fuzz_driver \
   accuracy_shadow_test delta_test maintenance_test analyze_test \
   flight_test estimate_opt_diff_test estimator_test
 (cd build-asan && ctest -R "$FILTER" --output-on-failure)

@@ -11,11 +11,15 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-FILTER="${1:-ServiceTest|EstimateOptDiff|CanonicalTest|EstimatorTest|ObsTest|AccuracyTrackerTest|ShadowSamplingTest|MaintenanceTest|ServiceIntel|FlightRecorderTest|TimeSeriesTest|SloEngineTest|ServiceFlightTest}"
+# ThreadPool|ShardedLru: the caller-participating ParallelFor and the
+# answer cache's lane reader lock (common_test); the batch tests
+# (a Register swap racing EstimateBatch, the eight-thread counter
+# hammer) run under ServiceTest.
+FILTER="${1:-ServiceTest|ThreadPool|ShardedLru|EstimateOptDiff|CanonicalTest|EstimatorTest|ObsTest|AccuracyTrackerTest|ShadowSamplingTest|MaintenanceTest|ServiceIntel|FlightRecorderTest|TimeSeriesTest|SloEngineTest|ServiceFlightTest}"
 
 cmake -B build-tsan -S . -DXEE_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j"$(nproc)" \
-  --target service_test canonical_test estimator_test obs_test \
+  --target service_test common_test canonical_test estimator_test obs_test \
   estimate_opt_diff_test maintenance_test analyze_test \
   accuracy_obs_test accuracy_shadow_test flight_test simulate
 (cd build-tsan && ctest -R "$FILTER" --output-on-failure)

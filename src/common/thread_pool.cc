@@ -1,8 +1,9 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
-#include <latch>
+#include <memory>
 
 #include "common/fault.h"
 #include "obs/metrics.h"
@@ -65,19 +66,54 @@ void ThreadPool::Submit(std::function<void()> fn) {
 
 void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   if (n == 0) return;
-  // One chunk per worker times a small oversubscription factor, so
+  // A few chunks per participant (the workers plus the caller), so
   // uneven per-index costs still balance.
-  const size_t chunks = std::min(n, workers_.size() * 4);
-  std::latch done(static_cast<ptrdiff_t>(chunks));
-  for (size_t c = 0; c < chunks; ++c) {
-    const size_t begin = n * c / chunks;
-    const size_t end = n * (c + 1) / chunks;
-    Submit([&, begin, end] {
-      for (size_t i = begin; i < end; ++i) fn(i);
-      done.count_down();
-    });
+  const size_t chunks = std::min(n, (workers_.size() + 1) * 4);
+  // Helpers may be dequeued after the call has returned (every chunk
+  // already taken), so the shared state is refcounted and `fn` — on the
+  // caller's stack — is touched only by a participant holding a chunk,
+  // which the caller waits for. The wait is a mutex and condition
+  // variable: the std::latch it replaces was seen (libstdc++ 12) asleep
+  // for good with its count at 1 and no task left queued, and
+  // std::atomic::wait shares the latch's wait machinery.
+  struct Shared {
+    const std::function<void(size_t)>* fn;
+    size_t n;
+    size_t chunks;
+    std::atomic<size_t> next{0};  // cursor: the next chunk to hand out
+    std::atomic<size_t> done{0};  // chunks finished
+    std::mutex mu;
+    std::condition_variable all_done;
+
+    /// Takes and runs chunks until none are left.
+    void Work() {
+      for (size_t c; (c = next.fetch_add(1, std::memory_order_relaxed)) <
+                     chunks;) {
+        const size_t end = n * (c + 1) / chunks;
+        for (size_t i = n * c / chunks; i < end; ++i) (*fn)(i);
+        if (done.fetch_add(1, std::memory_order_acq_rel) + 1 == chunks) {
+          std::lock_guard<std::mutex> lock(mu);
+          all_done.notify_all();
+        }
+      }
+    }
+    bool Finished() const {
+      return done.load(std::memory_order_acquire) == chunks;
+    }
+  };
+  auto shared = std::make_shared<Shared>();
+  shared->fn = &fn;
+  shared->n = n;
+  shared->chunks = chunks;
+  const size_t helpers = std::min(workers_.size(), chunks - 1);
+  for (size_t h = 0; h < helpers; ++h) {
+    Submit([shared] { shared->Work(); });
   }
-  done.wait();
+  shared->Work();
+  if (!shared->Finished()) {
+    std::unique_lock<std::mutex> lock(shared->mu);
+    shared->all_done.wait(lock, [&] { return shared->Finished(); });
+  }
 }
 
 size_t ThreadPool::DefaultThreads() {

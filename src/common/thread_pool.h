@@ -31,9 +31,13 @@ class ThreadPool {
   /// Enqueues `fn` for execution on some worker.
   void Submit(std::function<void()> fn);
 
-  /// Runs fn(0..n-1) across the workers and blocks until all calls have
-  /// returned. Tasks are batched into contiguous index chunks to keep
-  /// per-task overhead low for fine-grained work.
+  /// Runs fn(0..n-1) and blocks until all calls have returned. The
+  /// indices are cut into contiguous chunks handed out by one atomic
+  /// cursor; the calling thread takes chunks alongside the workers, so
+  /// the work starts on the caller at once and the call completes even
+  /// when every worker is busy or stalled — including when it is made
+  /// from inside a task of this pool. The caller then waits only for
+  /// chunks a worker has already taken.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
   size_t size() const { return workers_.size(); }

@@ -58,9 +58,8 @@ AccuracyTracker::AccuracyTracker(Registry* registry, AccuracyOptions options)
   if (options_.drift_alpha > 1) options_.drift_alpha = 1;
 }
 
-bool AccuracyTracker::ShouldSample() {
+bool AccuracyTracker::ShouldSample(uint64_t tick) {
   if (options_.sample == 0) return false;
-  const uint64_t tick = tick_.fetch_add(1, std::memory_order_relaxed);
   if (Mix(options_.seed ^ tick) % options_.sample != 0) return false;
   started_.Inc();
   return true;

@@ -158,12 +158,13 @@ class AccuracyTracker {
   bool enabled() const { return options_.sample != 0; }
   const AccuracyOptions& options() const { return options_; }
 
-  /// The seeded per-request sampling decision; counts `started` when
-  /// true. Deterministic: the k-th call returns the same answer for
-  /// equal (seed, sample) regardless of wall clock or thread timing
-  /// (under concurrency, *which* request gets the k-th tick may vary,
-  /// but the set of sampled ticks does not).
-  bool ShouldSample();
+  /// The seeded sampling decision for the `tick`-th eligible request of
+  /// a caller's sampling cursor; counts `started` when true.
+  /// Deterministic: equal (seed, sample, tick) give the same answer
+  /// regardless of wall clock or thread timing. The caller owns the
+  /// cursor — the service keeps one per (service, thread) lane, so its
+  /// sampling writes no line another thread writes.
+  bool ShouldSample(uint64_t tick);
 
   /// Admission of one sampled request into the bounded shadow backlog;
   /// false (counting backlog_suppressed) when max_pending are already
@@ -231,7 +232,6 @@ class AccuracyTracker {
   Counter& backlog_suppressed_;
   Counter& eval_error_;
 
-  std::atomic<uint64_t> tick_{0};
   std::atomic<uint64_t> pending_{0};
 
   mutable std::mutex mu_;

@@ -1,6 +1,7 @@
 #include "service/service.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <optional>
 #include <thread>
@@ -29,9 +30,49 @@ uint64_t NsSince(Clock::time_point start) {
           .count());
 }
 
-}  // namespace
+/// Appends a cache key's namespace, "<kind><epoch>:" (see MakeKey).
+void AppendKeyPrefix(char kind, uint64_t epoch, std::string* key) {
+  key->push_back(kind);
+  char digits[20];
+  key->append(digits,
+              std::to_chars(digits, digits + sizeof digits, epoch).ptr);
+  key->push_back(':');
+}
 
-namespace {
+/// The canonicalize stage, timed in two segments — canonicalization,
+/// then (after a canonical-key miss) the analyzer — and recorded once,
+/// when the request leaves the stage's scope.
+class SplitStageTimer {
+ public:
+  SplitStageTimer(obs::TraceSpans* spans, obs::Histogram* hist, Stage stage,
+                  bool enabled)
+      : spans_(spans), hist_(hist), stage_(stage), enabled_(enabled) {}
+  ~SplitStageTimer() {
+    if (!enabled_ || !ran_) return;
+    spans_->stage_ns[static_cast<size_t>(stage_)] += ns_;
+    hist_->Record(ns_);
+  }
+  SplitStageTimer(const SplitStageTimer&) = delete;
+  SplitStageTimer& operator=(const SplitStageTimer&) = delete;
+
+  void Start() {
+    if (enabled_) start_ = Clock::now();
+  }
+  void Stop() {
+    if (!enabled_) return;
+    ns_ += NsSince(start_);
+    ran_ = true;
+  }
+
+ private:
+  obs::TraceSpans* spans_;
+  obs::Histogram* hist_;
+  Stage stage_;
+  bool enabled_;
+  bool ran_ = false;
+  uint64_t ns_ = 0;
+  Clock::time_point start_;
+};
 
 obs::AccuracyOptions MakeAccuracyOptions(const ServiceOptions& o) {
   obs::AccuracyOptions a;
@@ -125,16 +166,6 @@ TenantTable::TenantTable(obs::Registry* registry, size_t max)
       max_(max),
       gen_(g_tenant_table_gen.fetch_add(1, std::memory_order_relaxed)) {}
 
-namespace {
-/// Small nonzero per-thread id for lane ownership claims.
-uint32_t LaneThreadId() {
-  static std::atomic<uint32_t> next{1};
-  thread_local const uint32_t id =
-      next.fetch_add(1, std::memory_order_relaxed);
-  return id;
-}
-}  // namespace
-
 TenantTable::Slots* TenantTable::MakeSlots(const std::string& label_name,
                                            obs::FlightRecorder* flight) {
   auto s = std::make_unique<Slots>();
@@ -145,16 +176,16 @@ TenantTable::Slots* TenantTable::MakeSlots(const std::string& label_name,
   // the registry and nothing reads the registry after that).
   Slots* raw = s.get();
   registry_->RegisterDerivedCounter("tenant.requests", label, [raw] {
-    return raw->Sum(&Lane::requests);
+    return raw->counts.Sum(&Counts::requests);
   });
   registry_->RegisterDerivedCounter("tenant.shed", label, [raw] {
-    return raw->Sum(&Lane::shed);
+    return raw->counts.Sum(&Counts::shed);
   });
   registry_->RegisterDerivedCounter("tenant.errors", label, [raw] {
-    return raw->Sum(&Lane::errors);
+    return raw->counts.Sum(&Counts::errors);
   });
   registry_->RegisterDerivedCounter("tenant.plan_hits", label, [raw] {
-    return raw->Sum(&Lane::plan_hits);
+    return raw->counts.Sum(&Counts::plan_hits);
   });
   s->request_ns = &registry_->GetHistogram("tenant.request_ns", label);
   if (flight != nullptr) s->flight_id = flight->Intern(label_name);
@@ -204,22 +235,9 @@ TenantTable::Handle TenantTable::Get(const std::string& tenant,
     }
   }
   // Claim (or re-find) this thread's lane: an owned lane makes every
-  // later increment a plain load/store. Threads past kLanes keep a
-  // null lane and write through the shared fetch_add fallback.
-  Lane* lane = nullptr;
-  const uint32_t tid = LaneThreadId();
-  for (Lane& l : found->lanes) {
-    uint32_t owner = l.owner.load(std::memory_order_acquire);
-    if (owner == tid) {
-      lane = &l;
-      break;
-    }
-    if (owner == 0 && l.owner.compare_exchange_strong(
-                          owner, tid, std::memory_order_acq_rel)) {
-      lane = &l;
-      break;
-    }
-  }
+  // later increment a plain load/store. Threads past the lane count keep
+  // a null lane and write through the shared fetch_add fallback.
+  CountLanes::Lane* lane = found->counts.Claim();
   last.gen = gen_;
   last.tenant = tenant;
   last.handle = Handle{found, lane};
@@ -328,11 +346,18 @@ std::string EstimationService::MakeKey(char kind, uint64_t epoch,
                                        const std::string& body) {
   std::string key;
   key.reserve(2 + 20 + body.size());
-  key.push_back(kind);
-  key += std::to_string(epoch);
-  key.push_back(':');
+  AppendKeyPrefix(kind, epoch, &key);
   key += body;
   return key;
+}
+
+size_t EstimationService::ExactKeyInto(uint64_t epoch, std::string_view xpath,
+                                       std::string* key) {
+  key->clear();
+  AppendKeyPrefix('x', epoch, key);
+  const size_t body_at = key->size();
+  xpath::AppendStripped(xpath, key);
+  return body_at;
 }
 
 void EstimationService::CacheAnswer(
@@ -397,8 +422,8 @@ EstimateOutcome EstimationService::ShedOutcome(const QueryRequest& req,
   // the aggregate.
   const TenantTable::Handle tenant = tenants_.Get(req.synopsis, flight_.get());
   if (tenant) {
-    tenant.Inc(&TenantTable::Lane::requests);
-    tenant.Inc(&TenantTable::Lane::shed);
+    tenant.Inc(&TenantTable::Counts::requests);
+    tenant.Inc(&TenantTable::Counts::shed);
   }
   if (flight_ != nullptr) {
     flight_->Record(obs::FlightEventType::kShed,
@@ -414,45 +439,47 @@ EstimateOutcome EstimationService::ShedOutcome(const QueryRequest& req,
 
 EstimateOutcome EstimationService::Estimate(const QueryRequest& request) {
   if (TryAdmit(1) == 0) {
-    stats_.requests.Inc();
+    Count(&RequestCounts::requests);
     return ShedOutcome(request, 0, /*batch=*/false);
   }
-  EstimateOutcome out = EstimateAdmitted(request);
+  EstimateOutcome out = EstimateAdmitted(request, /*resolved=*/nullptr);
   Release(1);
   return out;
 }
 
-bool EstimationService::ShouldTime() {
+bool EstimationService::ShouldTime(RequestLanes::Lane* lane) {
   const size_t n = options_.trace_sample;
   if (n == 1) return true;
   if (n == 0) return false;
-  return trace_tick_.fetch_add(1, std::memory_order_relaxed) % n == 0;
+  return stats_.lanes.Bump(lane, &RequestCounts::trace_tick) % n == 0;
 }
 
 EstimateOutcome EstimationService::EstimateAdmitted(
-    const QueryRequest& req) {
+    const QueryRequest& req, const NameLookup* resolved) {
+  // Every per-request count and sampling tick below lands in this
+  // thread's lane: a warm hit writes no line another thread writes.
+  RequestLanes::Lane* const lane = stats_.lanes.Mine();
   // One sampling decision gates every clock read this request would
-  // make; the unsampled path costs only a handful of relaxed counter
-  // adds (see ServiceOptions::trace_sample).
-  const bool timed = ShouldTime();
+  // make; the unsampled path costs only a handful of lane stores (see
+  // ServiceOptions::trace_sample).
+  const bool timed = ShouldTime(lane);
   Clock::time_point t_request;
   if (timed) t_request = Clock::now();
-  stats_.requests.Inc();
-  // The per-tenant dimension keys on the synopsis name: one sharded-
-  // lock map probe on the warm path, stable slot pointers after.
+  stats_.lanes.Bump(lane, &RequestCounts::requests);
+  // The per-tenant dimension keys on the synopsis name: a per-thread
+  // memo answers the warm path, stable slot pointers after.
   const TenantTable::Handle tenant = tenants_.Get(req.synopsis, flight_.get());
-  if (tenant) tenant.Inc(&TenantTable::Lane::requests);
+  if (tenant) tenant.Inc(&TenantTable::Counts::requests);
 
   // The request's trace: stage timers and the estimator's work counters
   // accumulate here; timed requests land in the trace ring.
   obs::TraceSpans spans;
   const char* outcome_label = "error";
 
-  // Captured at snapshot acquire for the shadow pipeline: the version's
-  // ground-truth oracle (if any) and its epoch, plus whether the stale-
+  // The version this request answers from, once acquired (the shadow
+  // pipeline reads its oracle and epoch), and whether the stale-
   // downgrade policy tainted this answer.
-  std::shared_ptr<const GroundTruth> shadow_truth;
-  uint64_t shadow_epoch = 0;
+  const SynopsisSnapshot* snap = nullptr;
   bool stale_taint = false;
 
   EstimateOutcome out = [&]() -> EstimateOutcome {
@@ -469,28 +496,27 @@ EstimateOutcome EstimationService::EstimateAdmitted(
 
     // Rung 1 — quarantine gate and snapshot acquire: a name whose last
     // load was rejected is deliberately out of service until a good
-    // version arrives.
-    std::optional<SynopsisSnapshot> snap;
+    // version arrives. A batch member brings its batch's lookup; a
+    // single call reads the registry through this thread's cached view.
     {
       obs::ScopedStageTimer t(&spans, Stage::kSnapshot,
                               stats_.StageHist(Stage::kSnapshot), timed);
-      if (std::optional<Status> q = registry_.Quarantined(req.synopsis)) {
-        outcome_label = "quarantined";
-        out.estimate =
-            Status(StatusCode::kUnavailable,
-                   "synopsis quarantined: " + std::string(q->message()));
-        return out;
-      }
-      snap = registry_.Snapshot(req.synopsis);
+      if (resolved == nullptr) resolved = &registry_.Lookup(req.synopsis);
     }
-    if (!snap.has_value()) {
+    if (resolved->quarantined.has_value()) {
+      outcome_label = "quarantined";
+      out.estimate = Status(StatusCode::kUnavailable,
+                            "synopsis quarantined: " +
+                                std::string(resolved->quarantined->message()));
+      return out;
+    }
+    if (!resolved->snapshot.has_value()) {
       outcome_label = "not-found";
       out.estimate =
           Status(StatusCode::kNotFound, "unknown synopsis: " + req.synopsis);
       return out;
     }
-    shadow_truth = snap->truth;
-    shadow_epoch = snap->epoch;
+    snap = &*resolved->snapshot;
 
     // Stale escalation (ServiceOptions::stale_downgrade): once shadow
     // sampling has convicted this version of drifting, its answers are
@@ -511,21 +537,26 @@ EstimateOutcome EstimationService::EstimateAdmitted(
     }
 
     // Exact-string probe: a warm repeat of the very same request text
-    // skips the parse as well as the estimate. Degraded answers only
+    // skips the parse as well as the estimate. The key is built in a
+    // per-thread buffer and the answer copied out by value, so a hit
+    // allocates nothing and touches no refcount. Degraded answers only
     // satisfy requests that accept them.
-    const std::string stripped = xpath::StripWhitespace(req.xpath);
-    const std::string exact_key = MakeKey('x', snap->epoch, stripped);
-    auto probe = [&](const std::string& key) {
-      obs::ScopedStageTimer t(&spans, Stage::kCacheLookup,
-                              stats_.StageHist(Stage::kCacheLookup), timed);
-      return cache_.Get(key);
-    };
-    if (std::shared_ptr<const CachedAnswer> hit = probe(exact_key);
-        hit && (!hit->degraded || req.allow_degraded)) {
-      outcome_label = "exact-hit";
-      stats_.exact_hits.Inc();
-      if (hit->pruned) stats_.analyzer_pruned.Inc();
-      return hit->Outcome();
+    thread_local std::string exact_key;
+    const size_t body_at = ExactKeyInto(snap->epoch, req.xpath, &exact_key);
+    {
+      CachedAnswer hit;
+      bool found;
+      {
+        obs::ScopedStageTimer t(&spans, Stage::kCacheLookup,
+                                stats_.StageHist(Stage::kCacheLookup), timed);
+        found = cache_.Copy(exact_key, &hit);
+      }
+      if (found && (!hit.degraded || req.allow_degraded)) {
+        outcome_label = "exact-hit";
+        stats_.lanes.Bump(lane, &RequestCounts::exact_hits);
+        if (hit.pruned) stats_.analyzer_pruned.Inc();
+        return hit.Outcome();
+      }
     }
 
     // Parse + canonicalize, then probe under the canonical key where
@@ -533,7 +564,7 @@ EstimateOutcome EstimationService::EstimateAdmitted(
     Result<xpath::Query> parsed = [&] {
       obs::ScopedStageTimer t(&spans, Stage::kParse,
                               stats_.StageHist(Stage::kParse), timed);
-      return xpath::ParseXPath(stripped);
+      return xpath::ParseXPath(std::string_view(exact_key).substr(body_at));
     }();
     if (!parsed.ok()) {  // unbounded garbage: uncached
       outcome_label = "parse-error";
@@ -541,28 +572,61 @@ EstimateOutcome EstimationService::EstimateAdmitted(
       return out;
     }
 
-    std::string body;
-    xpath::Query canonical;
-    bool prune_now = false;
-    {
-      obs::ScopedStageTimer t(&spans, Stage::kCanonicalize,
-                              stats_.StageHist(Stage::kCanonicalize), timed);
-      canonical = xpath::Canonicalize(parsed.value());
-      // Satisfiability pruning (DESIGN.md §15) on the exact-miss path,
-      // inside the canonicalize stage. A prune-safe unsatisfiability
-      // proof answers 0 below without a join. The prune gate requires
-      // the estimator to have answered exactly 0.0 itself — wildcard-
-      // order and missing-order-statistics shapes keep their
-      // kUnsupported / degraded surface, bit-for-bit.
-      stats_.analyzer_checked.Inc();
-      const estimator::Synopsis& syn = *snap->synopsis;
-      const xpath::Analysis analysis = xpath::AnalyzeSatisfiability(
-          canonical, {&syn.join_index(), &syn.tag_ids(), syn.root_tag()});
-      prune_now = analysis.verdict == xpath::SatVerdict::kUnsat &&
-                  analysis.prune_safe &&
-                  (canonical.orders.empty() || syn.has_order());
-      body = xpath::SerializeKey(canonical);
+    SplitStageTimer canonicalize_stage(
+        &spans, stats_.StageHist(Stage::kCanonicalize), Stage::kCanonicalize,
+        timed);
+    canonicalize_stage.Start();
+    const xpath::Query canonical = xpath::Canonicalize(parsed.value());
+    const std::string body = xpath::SerializeKey(canonical);
+    canonicalize_stage.Stop();
+
+    auto probe = [&](const std::string& key) {
+      obs::ScopedStageTimer t(&spans, Stage::kCacheLookup,
+                              stats_.StageHist(Stage::kCacheLookup), timed);
+      return cache_.Get(key);
+    };
+    // A hit under a canonical ('c') or degraded ('d') key: another
+    // spelling already computed — or pruned — this answer. `alias` also
+    // files it under this request's exact string.
+    auto serve_hit = [&](std::shared_ptr<const CachedAnswer> hit,
+                         bool alias) {
+      outcome_label = "canonical-hit";
+      stats_.lanes.Bump(lane, &RequestCounts::canonical_hits);
+      if (hit->pruned) stats_.analyzer_pruned.Inc();
+      EstimateOutcome o = hit->Outcome();
+      if (alias) {
+        cache_.Put(exact_key, std::move(hit), exact_key.size() + kEntryBytes);
+      }
+      return o;
+    };
+
+    // Rung 2 precondition — missing order statistics (synopsis built
+    // without them, or dropped by salvage). Such a query never has a
+    // full-fidelity answer on this version, so it skips the canonical
+    // probe (and can never be pruned, see below).
+    const bool wants_order = !canonical.orders.empty();
+    const bool missing_order = wants_order && !snap->synopsis->has_order();
+    const std::string canonical_key = MakeKey('c', snap->epoch, body);
+    if (!missing_order) {
+      if (std::shared_ptr<const CachedAnswer> hit = probe(canonical_key)) {
+        return serve_hit(std::move(hit), /*alias=*/true);
+      }
     }
+
+    // Satisfiability pruning (DESIGN.md §15) after the canonical miss,
+    // inside the canonicalize stage. A prune-safe unsatisfiability proof
+    // answers 0 below without a join. The prune gate requires the
+    // estimator to have answered exactly 0.0 itself — wildcard-order and
+    // missing-order-statistics shapes keep their kUnsupported / degraded
+    // surface, bit-for-bit.
+    canonicalize_stage.Start();
+    stats_.analyzer_checked.Inc();
+    const estimator::Synopsis& syn = *snap->synopsis;
+    const xpath::Analysis analysis = xpath::AnalyzeSatisfiability(
+        canonical, {&syn.join_index(), &syn.tag_ids(), syn.root_tag()});
+    const bool prune_now = analysis.verdict == xpath::SatVerdict::kUnsat &&
+                           analysis.prune_safe && !missing_order;
+    canonicalize_stage.Stop();
 
     // Pruned fast path: serve 0 and cache it under the epoch-scoped
     // keys (a synopsis swap re-validates the verdict).
@@ -571,17 +635,14 @@ EstimateOutcome EstimationService::EstimateAdmitted(
       stats_.analyzer_pruned.Inc();
       auto zero = std::make_shared<const CachedAnswer>(
           CachedAnswer{0.0, /*degraded=*/false, /*pruned=*/true});
-      CacheAnswer(MakeKey('c', snap->epoch, body), exact_key, zero);
+      CacheAnswer(canonical_key, exact_key, zero);
       return zero->Outcome();
     }
 
-    // Rung 2 — missing order statistics (synopsis built without them,
-    // or dropped by salvage). Degrade to the order-free formulas when
-    // the request permits; otherwise fail honestly. A salvaged version
-    // only affects queries that carry order constraints: order-free
-    // answers are bit-identical to an intact synopsis's.
-    const bool wants_order = !canonical.orders.empty();
-    const bool missing_order = wants_order && !snap->synopsis->has_order();
+    // Rung 2 — degrade to the order-free formulas when the request
+    // permits; otherwise fail honestly. A salvaged version only affects
+    // queries that carry order constraints: order-free answers are
+    // bit-identical to an intact synopsis's.
     if (missing_order && !req.allow_degraded) {
       const bool order_quarantined = snap->order_quarantined;
       outcome_label = order_quarantined ? "quarantined" : "unsupported";
@@ -595,22 +656,15 @@ EstimateOutcome EstimationService::EstimateAdmitted(
       return out;
     }
 
-    // Serves the `kind` ('c' full fidelity / 'd' order-free degraded)
-    // answer for `canonical`: from the cache, or by estimating under the
-    // request deadline and caching the result — errors included, except
-    // a deadline error, which is not a property of the query. `alias`
-    // also files the answer under the exact request string; it is off
-    // only for a deadline-forced degradation, so a later, slower
-    // request can still get the full answer.
-    auto serve = [&](char kind, bool alias) -> EstimateOutcome {
-      const std::string key = MakeKey(kind, snap->epoch, body);
-      if (std::shared_ptr<const CachedAnswer> hit = probe(key)) {
-        outcome_label = "canonical-hit";
-        stats_.canonical_hits.Inc();
-        if (hit->pruned) stats_.analyzer_pruned.Inc();
-        if (alias) cache_.Put(exact_key, hit, exact_key.size() + kEntryBytes);
-        return hit->Outcome();
-      }
+    // Estimates the `kind` ('c' full fidelity / 'd' order-free degraded)
+    // answer for `canonical` under the request deadline and caches it
+    // under `key` — errors included, except a deadline error, which is
+    // not a property of the query. `alias` also files the answer under
+    // the exact request string; it is off only for a deadline-forced
+    // degradation, so a later, slower request can still get the full
+    // answer.
+    auto compute = [&](char kind, const std::string& key,
+                       bool alias) -> EstimateOutcome {
       EstimateOutcome o;
       o.degraded = kind == 'd';
       if (FaultFires(estimator::Estimator::kAllocFaultSite)) {
@@ -643,20 +697,28 @@ EstimateOutcome EstimationService::EstimateAdmitted(
         return o;
       }
       outcome_label = "miss";
-      stats_.misses.Inc();
+      stats_.lanes.Bump(lane, &RequestCounts::misses);
       auto answer = std::make_shared<const CachedAnswer>(
           CachedAnswer{o.estimate, o.degraded, /*pruned=*/false});
       CacheAnswer(key, alias ? exact_key : std::string(), std::move(answer));
       return o;
     };
+    // The order-free answer, from the cache or computed.
+    auto serve_degraded = [&](bool alias) -> EstimateOutcome {
+      const std::string key = MakeKey('d', snap->epoch, body);
+      if (std::shared_ptr<const CachedAnswer> hit = probe(key)) {
+        return serve_hit(std::move(hit), alias);
+      }
+      return compute('d', key, alias);
+    };
 
-    if (missing_order) return serve('d', /*alias=*/true);
-    EstimateOutcome full = serve('c', /*alias=*/true);
+    if (missing_order) return serve_degraded(/*alias=*/true);
+    EstimateOutcome full = compute('c', canonical_key, /*alias=*/true);
     // Rung 3 — deadline-forced fallback: the full computation did not
     // fit, but the (much cheaper) order-free one might still make it.
     if (full.estimate.status().code() == StatusCode::kDeadlineExceeded &&
         req.allow_degraded && wants_order && !req.deadline.HasExpired()) {
-      return serve('d', /*alias=*/false);
+      return serve_degraded(/*alias=*/false);
     }
     return full;
   }();
@@ -684,9 +746,9 @@ EstimateOutcome EstimationService::EstimateAdmitted(
   const std::string_view ol = outcome_label;
   if (tenant) {
     if (!out.estimate.ok()) {
-      tenant.Inc(&TenantTable::Lane::errors);
+      tenant.Inc(&TenantTable::Counts::errors);
     } else if (ol == "exact-hit" || ol == "canonical-hit") {
-      tenant.Inc(&TenantTable::Lane::plan_hits);
+      tenant.Inc(&TenantTable::Counts::plan_hits);
     }
   }
   // Tail-based retention (DESIGN.md §16): the keep decision runs at
@@ -724,21 +786,22 @@ EstimateOutcome EstimationService::EstimateAdmitted(
                            : obs::FlightRecorder::kOverflowId,
                     FlightOutcomeCode(ol), total_ns);
   }
-  if (shadow_eligible) {
-    MaybeShadow(req, out, std::move(shadow_truth), shadow_epoch);
-  }
+  if (shadow_eligible) MaybeShadow(req, out, *snap, lane);
   return out;
 }
 
 void EstimationService::MaybeShadow(const QueryRequest& req,
                                     const EstimateOutcome& out,
-                                    std::shared_ptr<const GroundTruth> truth,
-                                    uint64_t epoch) {
+                                    const SynopsisSnapshot& snap,
+                                    RequestLanes::Lane* lane) {
   if (!accuracy_.enabled()) return;
   // The sampling tick advances once per *eligible* request (full-
   // fidelity success), so "1-in-N" means 1-in-N auditable answers.
-  if (!accuracy_.ShouldSample()) return;
-  if (truth == nullptr) {
+  if (!accuracy_.ShouldSample(
+          stats_.lanes.Bump(lane, &RequestCounts::shadow_tick))) {
+    return;
+  }
+  if (snap.truth == nullptr) {
     accuracy_.SkipNoDocument();
     return;
   }
@@ -747,8 +810,8 @@ void EstimationService::MaybeShadow(const QueryRequest& req,
   // task may outlive the request, the snapshot, and even the synopsis's
   // registration. EndShadow is balanced on every exit path of the task.
   pool_.Submit([this, synopsis = req.synopsis, xpath = req.xpath,
-                deadline = req.deadline, truth = std::move(truth), epoch,
-                estimate = out.estimate.value()]() {
+                deadline = req.deadline, truth = snap.truth,
+                epoch = snap.epoch, estimate = out.estimate.value()]() {
     ShadowEvaluate(synopsis, xpath, deadline, truth, epoch, estimate);
     accuracy_.EndShadow();
   });
@@ -1042,19 +1105,38 @@ std::vector<EstimateOutcome> EstimationService::EstimateBatch(
   // finish) and never blocks admitted work behind refused work.
   const size_t admitted = TryAdmit(n);
   for (size_t i = admitted; i < n; ++i) {
-    stats_.requests.Inc();
+    Count(&RequestCounts::requests);
     results[i] = ShedOutcome(requests[i], i - admitted, /*batch=*/true);
   }
   if (admitted == 0) return results;
 
-  if (admitted <= 1 || pool_.size() <= 1) {
+  // One registry lookup per (batch, tenant), on the caller: every member
+  // of a tenant answers from the same version, so a concurrent swap can
+  // never split one tenant's members across epochs, and the members
+  // themselves touch no registry state.
+  std::vector<NameLookup> lookups;
+  std::vector<uint32_t> lookup_of(admitted);
+  {
+    std::unordered_map<std::string_view, uint32_t> index;
     for (size_t i = 0; i < admitted; ++i) {
-      results[i] = EstimateAdmitted(requests[i]);
+      const std::string& name = requests[i].synopsis;
+      if (i != 0 && name == requests[i - 1].synopsis) {
+        lookup_of[i] = lookup_of[i - 1];
+        continue;
+      }
+      const auto [it, fresh] =
+          index.try_emplace(name, static_cast<uint32_t>(lookups.size()));
+      if (fresh) lookups.push_back(registry_.Lookup(name));
+      lookup_of[i] = it->second;
     }
+  }
+  auto run = [&](size_t i) {
+    results[i] = EstimateAdmitted(requests[i], &lookups[lookup_of[i]]);
+  };
+  if (admitted <= 1 || pool_.size() <= 1) {
+    for (size_t i = 0; i < admitted; ++i) run(i);
   } else {
-    pool_.ParallelFor(admitted, [&](size_t i) {
-      results[i] = EstimateAdmitted(requests[i]);
-    });
+    pool_.ParallelFor(admitted, run);
   }
   Release(admitted);
   return results;

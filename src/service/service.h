@@ -8,10 +8,12 @@
 #include <shared_mutex>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "common/deadline.h"
+#include "common/lanes.h"
 #include "common/sharded_lru.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
@@ -36,7 +38,9 @@ struct ServiceOptions {
   size_t plan_cache_bytes = 8ull << 20;
   /// Answer-cache shard count (contention vs. bookkeeping overhead).
   size_t cache_shards = 8;
-  /// Worker threads for EstimateBatch; 0 = hardware concurrency.
+  /// Worker threads for EstimateBatch (the calling thread works its
+  /// batch alongside them) and shadow evaluation; 0 = hardware
+  /// concurrency.
   size_t threads = 0;
   /// Admission control: maximum requests estimating at once (single
   /// calls and batch members combined). Excess requests are shed
@@ -225,48 +229,34 @@ ServiceOptions ObsMinimal(ServiceOptions opt);
 /// shares one "__other__" overflow slot, so per-tenant observability
 /// has a hard cardinality ceiling no traffic mix can exceed.
 ///
-/// The counts themselves live in single-writer lanes, not registry
-/// counters: each tenant owns a few cache-line cells, a thread claims
-/// one on first contact, and from then on its increments are plain
-/// relaxed load/store pairs on an L1-resident line — no lock-prefixed
-/// RMW on the request path (the difference is about half the obs
-/// layer's per-request cost, see bench "service_obs2"). The registry's
-/// tenant.* rows are derived counters that sum the lanes at read time,
-/// so every read surface (CounterValue, Rows, statsz, the time-series
-/// scrape) sees exact totals. Threads past the lane count fall back to
-/// a shared fetch_add lane; nothing is ever lost.
+/// The counts themselves live in single-writer lanes (xee::Lanes), not
+/// registry counters: each tenant owns a few cache-line cells, a thread
+/// claims one on first contact, and from then on its increments are
+/// plain relaxed load/store pairs on an L1-resident line — no lock-
+/// prefixed RMW on the request path (the difference is about half the
+/// obs layer's per-request cost, see bench "service_obs2"). The
+/// registry's tenant.* rows are derived counters that sum the lanes at
+/// read time, so every read surface (CounterValue, Rows, statsz, the
+/// time-series scrape) sees exact totals. Threads past the lane count
+/// fall back to a shared fetch_add lane; nothing is ever lost.
 class TenantTable {
  public:
-  /// One cache line of per-tenant counts with at most one writing
-  /// thread (`owner`, claimed by CAS, held for the table's lifetime).
-  /// Single-writer is what makes store(load+1) exact.
-  struct alignas(64) Lane {
-    std::atomic<uint32_t> owner{0};  ///< claiming thread id; 0 = free
+  /// One tenant's counts; Lanes gives each writing thread its own
+  /// cache line of them.
+  struct Counts {
     std::atomic<uint64_t> requests{0};
     std::atomic<uint64_t> shed{0};
     std::atomic<uint64_t> errors{0};
     std::atomic<uint64_t> plan_hits{0};
   };
-  static constexpr size_t kLanes = 4;
+  using CountLanes = Lanes<Counts>;
 
   struct Slots {
-    Lane lanes[kLanes];
-    /// Overflow for threads that found every lane owned; multi-writer,
-    /// so increments here use fetch_add (owner is unused).
-    Lane shared;
+    CountLanes counts;
     obs::Histogram* request_ns = nullptr;  ///< tenant.request_ns{tenant=X}
     /// The tenant name's flight-recorder intern id (kOverflowId when no
     /// recorder was passed to Get).
     uint32_t flight_id = obs::FlightRecorder::kOverflowId;
-
-    /// Exact total for one count across the shared + owned lanes.
-    uint64_t Sum(std::atomic<uint64_t> Lane::*field) const {
-      uint64_t total = (shared.*field).load(std::memory_order_relaxed);
-      for (const Lane& l : lanes) {
-        total += (l.*field).load(std::memory_order_relaxed);
-      }
-      return total;
-    }
   };
 
   /// A thread's view of one tenant: the slots plus the lane this thread
@@ -274,19 +264,13 @@ class TenantTable {
   /// shared fallback). Returned by Get and memoized per thread.
   struct Handle {
     Slots* slots = nullptr;
-    Lane* lane = nullptr;
+    CountLanes::Lane* lane = nullptr;
 
     explicit operator bool() const { return slots != nullptr; }
 
-    /// Bumps one count, e.g. h.Inc(&TenantTable::Lane::requests).
-    void Inc(std::atomic<uint64_t> Lane::*field) const {
-      if (lane != nullptr) {
-        std::atomic<uint64_t>& cell = lane->*field;
-        cell.store(cell.load(std::memory_order_relaxed) + 1,
-                   std::memory_order_relaxed);
-      } else {
-        (slots->shared.*field).fetch_add(1, std::memory_order_relaxed);
-      }
+    /// Bumps one count, e.g. h.Inc(&TenantTable::Counts::requests).
+    void Inc(CountLanes::Field field) const {
+      slots->counts.Bump(lane, field);
     }
   };
 
@@ -363,11 +347,14 @@ class EstimationService {
     return Estimate(QueryRequest{synopsis, xpath});
   }
 
-  /// Fans `requests` out over the worker pool and blocks until every
-  /// result is in. results[i] corresponds to requests[i]. Admission is
-  /// decided up front for the whole batch: members beyond the in-flight
-  /// budget are shed (kOverloaded, escalating retry hints) without
-  /// blocking the admitted ones.
+  /// Runs `requests` on the calling thread and the worker pool together
+  /// and blocks until every result is in. results[i] corresponds to
+  /// requests[i]. Each tenant (synopsis name) is looked up once per
+  /// batch, so all of one tenant's members answer from the same version
+  /// even while it is swapped. Admission is decided up front for the
+  /// whole batch: members beyond the in-flight budget are shed
+  /// (kOverloaded, escalating retry hints) without blocking the
+  /// admitted ones.
   std::vector<EstimateOutcome> EstimateBatch(
       std::span<const QueryRequest> requests);
 
@@ -514,6 +501,11 @@ class EstimationService {
   /// 'd' degraded order-free), synopsis epoch, and the query body.
   static std::string MakeKey(char kind, uint64_t epoch,
                              const std::string& body);
+  /// The exact-string key of `xpath` (its whitespace-stripped bytes)
+  /// built into `*key`, reusing its capacity; returns the offset of the
+  /// stripped text within it.
+  static size_t ExactKeyInto(uint64_t epoch, std::string_view xpath,
+                             std::string* key);
 
   /// Files `answer` under its canonical `key`, charged the answer, and
   /// — when `alias` is non-empty — under that exact request key, charged
@@ -535,12 +527,21 @@ class EstimationService {
   EstimateOutcome ShedOutcome(const QueryRequest& req, size_t depth,
                               bool batch);
 
-  /// The estimation ladder, run after admission.
-  EstimateOutcome EstimateAdmitted(const QueryRequest& request);
+  /// The estimation ladder, run after admission. `resolved` is the
+  /// registry's view of request.synopsis when the caller already holds
+  /// one (a batch looks each tenant up once); null = look it up here.
+  EstimateOutcome EstimateAdmitted(const QueryRequest& request,
+                                   const NameLookup* resolved);
+
+  /// Bumps one per-request count in the calling thread's lane.
+  void Count(RequestLanes::Field field) {
+    stats_.lanes.Bump(stats_.lanes.Mine(), field);
+  }
 
   /// The once-per-request sampling decision (ServiceOptions::
-  /// trace_sample): true when this request should be timed end to end.
-  bool ShouldTime();
+  /// trace_sample), ticking `lane`: true when this request should be
+  /// timed end to end.
+  bool ShouldTime(RequestLanes::Lane* lane);
 
   /// Pushes a completed request into the trace ring: head-sampled
   /// routine records (tail_class == nullptr) into the recent ring,
@@ -555,11 +556,12 @@ class EstimationService {
   static void FlightFaultObserver(void* ctx, std::string_view site,
                                   uint64_t schedule_now);
 
-  /// Samples `out` for shadow evaluation and, when sampled and
-  /// admitted, submits the shadow task to the pool. Called after the
-  /// caller-visible answer is fully formed; never blocks.
+  /// Samples `out` (served from `snap`) for shadow evaluation, ticking
+  /// `lane`, and, when sampled and admitted, submits the shadow task to
+  /// the pool. Called after the caller-visible answer is fully formed;
+  /// never blocks.
   void MaybeShadow(const QueryRequest& request, const EstimateOutcome& out,
-                   std::shared_ptr<const GroundTruth> truth, uint64_t epoch);
+                   const SynopsisSnapshot& snap, RequestLanes::Lane* lane);
 
   /// The shadow task body (pool thread): re-parse, exact-count against
   /// `truth`, record the error, feed the drift verdict back into the
@@ -592,7 +594,6 @@ class EstimationService {
   std::map<std::string, uint64_t> tick_epochs_;
   std::map<std::string, MaintenanceState> tick_states_;
   std::atomic<size_t> inflight_{0};
-  std::atomic<uint64_t> trace_tick_{0};  // sampling counter
   /// Set by the destructor body before member destruction starts: the
   /// pool's drain may still run shadow tasks that schedule rebuilds,
   /// and those must run inline rather than Submit to a pool that has

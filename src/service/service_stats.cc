@@ -5,13 +5,7 @@
 namespace xee::service {
 
 ServiceStats::ServiceStats(obs::Registry* registry)
-    : requests(registry->GetCounter("service.requests")),
-      batches(registry->GetCounter("service.batches")),
-      exact_hits(
-          registry->GetCounter("service.plan_cache", "outcome=exact_hit")),
-      canonical_hits(
-          registry->GetCounter("service.plan_cache", "outcome=canonical_hit")),
-      misses(registry->GetCounter("service.plan_cache", "outcome=miss")),
+    : batches(registry->GetCounter("service.batches")),
       analyzer_checked(
           registry->GetCounter("service.analyzer", "outcome=checked")),
       analyzer_pruned(
@@ -37,6 +31,17 @@ ServiceStats::ServiceStats(obs::Registry* registry)
       inflight(registry->GetGauge("service.inflight")),
       retry_after_ms(registry->GetHistogram("service.retry_after_ms")),
       request_ns(registry->GetHistogram("service.request_ns")) {
+  const auto derive = [&](std::string_view name, std::string_view label,
+                          RequestLanes::Field field) {
+    registry->RegisterDerivedCounter(
+        name, label, [this, field] { return lanes.Sum(field); });
+  };
+  derive("service.requests", {}, &RequestCounts::requests);
+  derive("service.plan_cache", "outcome=exact_hit",
+         &RequestCounts::exact_hits);
+  derive("service.plan_cache", "outcome=canonical_hit",
+         &RequestCounts::canonical_hits);
+  derive("service.plan_cache", "outcome=miss", &RequestCounts::misses);
   for (size_t i = 0; i < obs::kStageCount; ++i) {
     stage[i] = &registry->GetHistogram(
         "service.stage." +
@@ -55,11 +60,11 @@ obs::Counter& ServiceStats::TailCounter(std::string_view cls) {
 
 ServiceStatsSnapshot ServiceStats::Snap(const LruStats& cache) const {
   ServiceStatsSnapshot s;
-  s.requests = requests.value();
+  s.requests = lanes.Sum(&RequestCounts::requests);
   s.batches = batches.value();
-  s.exact_hits = exact_hits.value();
-  s.canonical_hits = canonical_hits.value();
-  s.misses = misses.value();
+  s.exact_hits = lanes.Sum(&RequestCounts::exact_hits);
+  s.canonical_hits = lanes.Sum(&RequestCounts::canonical_hits);
+  s.misses = lanes.Sum(&RequestCounts::misses);
   s.analyzer_checked = analyzer_checked.value();
   s.analyzer_pruned = analyzer_pruned.value();
   s.shed = shed.value();

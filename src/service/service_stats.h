@@ -1,10 +1,12 @@
 #ifndef XEE_SERVICE_SERVICE_STATS_H_
 #define XEE_SERVICE_SERVICE_STATS_H_
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <string_view>
 
+#include "common/lanes.h"
 #include "common/sharded_lru.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -29,9 +31,11 @@ struct ServiceStatsSnapshot {
   uint64_t misses = 0;
 
   // Static-analyzer outcomes (DESIGN.md §15). `analyzer_checked` counts
-  // cache-miss requests the analyzer examined; `analyzer_pruned` the
-  // subset answered 0 by a satisfiability proof (cache hits on a pruned
-  // answer count here too — the label follows the answer).
+  // requests the analyzer examined (it runs only after a canonical-key
+  // miss, so a respelling of a cached answer never re-runs it);
+  // `analyzer_pruned` the subset answered 0 by a satisfiability proof
+  // (cache hits on a pruned answer count here too — the label follows
+  // the answer).
   uint64_t analyzer_checked = 0;
   uint64_t analyzer_pruned = 0;
 
@@ -80,20 +84,37 @@ struct ServiceStatsSnapshot {
   std::string ToString() const;
 };
 
+/// The counts every request bumps, kept in per-(service, thread) lanes
+/// (xee::Lanes) so a warm hit writes no cache line another thread
+/// writes. The four counts surface as derived registry counters
+/// ("service.requests", "service.plan_cache{outcome=...}"); the two
+/// ticks are the per-lane sampling cursors of request timing
+/// (ServiceOptions::trace_sample) and shadow sampling
+/// (ServiceOptions::accuracy_sample), so which of a thread's requests
+/// are sampled depends only on that thread's own request sequence (one
+/// thread alone samples exactly as one process-wide cursor would).
+struct RequestCounts {
+  std::atomic<uint64_t> requests{0};
+  std::atomic<uint64_t> exact_hits{0};
+  std::atomic<uint64_t> canonical_hits{0};
+  std::atomic<uint64_t> misses{0};
+  std::atomic<uint64_t> trace_tick{0};
+  std::atomic<uint64_t> shadow_tick{0};
+};
+using RequestLanes = Lanes<RequestCounts>;
+
 /// The service's metric handles, resolved once against its
-/// obs::Registry (DESIGN.md §10 catalogs the names). All members are
-/// registry-owned atomics; any thread may bump them concurrently. This
-/// is the *only* counter system in the service — the registry backs
-/// both the struct snapshot below and the machine-readable STATSZ
-/// export.
+/// obs::Registry (DESIGN.md §10 catalogs the names). The registry-owned
+/// members are atomics any thread may bump; the per-request counts live
+/// in `lanes` and reach the registry as derived rows. Either way the
+/// registry backs both the struct snapshot below and the machine-
+/// readable STATSZ export. The registry must not be read after this
+/// object dies (its derived rows read the lanes).
 struct ServiceStats {
   explicit ServiceStats(obs::Registry* registry);
 
-  obs::Counter& requests;
+  RequestLanes lanes;
   obs::Counter& batches;
-  obs::Counter& exact_hits;
-  obs::Counter& canonical_hits;
-  obs::Counter& misses;
   obs::Counter& analyzer_checked;
   obs::Counter& analyzer_pruned;
   obs::Counter& shed;

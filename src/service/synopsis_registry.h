@@ -1,6 +1,8 @@
 #ifndef XEE_SERVICE_SYNOPSIS_REGISTRY_H_
 #define XEE_SERVICE_SYNOPSIS_REGISTRY_H_
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -11,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/lanes.h"
 #include "estimator/synopsis.h"
 #include "eval/exact_evaluator.h"
 #include "xml/tree.h"
@@ -83,14 +86,29 @@ struct LoadOutcome {
   bool ok() const { return status.ok(); }
 };
 
+/// What serving one name needs from the registry at one moment: the
+/// version to answer from, or the reason there is none.
+struct NameLookup {
+  /// The current version; empty when the name is unknown or quarantined.
+  std::optional<SynopsisSnapshot> snapshot;
+  /// The rejection status when the name is quarantined.
+  std::optional<Status> quarantined;
+};
+
 /// Thread-safe name -> synopsis map with swap semantics.
 ///
 /// Thread-safety: every method may be called concurrently; the map is
 /// guarded by one mutex (operations are O(1) pointer shuffles — the
 /// synopses themselves are immutable and shared by reference).
-/// RegisterSerialized deserializes outside the lock.
+/// RegisterSerialized deserializes outside the lock. Every mutation
+/// bumps a generation counter under the mutex, which is what lets
+/// Lookup serve repeat reads from a per-thread copy without locking.
 class SynopsisRegistry {
  public:
+  SynopsisRegistry();
+  SynopsisRegistry(const SynopsisRegistry&) = delete;
+  SynopsisRegistry& operator=(const SynopsisRegistry&) = delete;
+
   /// Registers `synopsis` under `name`, replacing any previous version
   /// and clearing any quarantine on the name. Returns the new epoch.
   /// `document`, when non-null, becomes the version's ground-truth
@@ -148,6 +166,23 @@ class SynopsisRegistry {
   /// name is serving (or simply unknown).
   std::optional<Status> Quarantined(const std::string& name) const;
 
+  /// The request read path: Snapshot and Quarantined in one step,
+  /// answered from a small per-thread cache of lookups that is valid
+  /// while the registry's generation is unchanged. A repeat lookup is
+  /// one acquire load of the generation plus a name compare — no lock,
+  /// no refcount — and only the first lookup after a mutation takes the
+  /// mutex. The cache lives in the registry, one lane per thread (the
+  /// first LaneClaims::kLanes threads; later threads keep one entry in
+  /// thread-local storage). The returned reference points into the
+  /// calling thread's entries: it stays valid until that thread's next
+  /// Lookup on this registry, or the registry's destruction. Each
+  /// thread's entries hold at most kLookupSlots versions, and a miss
+  /// drops every entry of an older generation, so a replaced version
+  /// can outlive its replacement until each thread that served it looks
+  /// up again or the registry dies.
+  const NameLookup& Lookup(const std::string& name) const;
+  static constexpr size_t kLookupSlots = 4;
+
   /// Registered names, unordered. Quarantined names are not serving and
   /// not listed.
   std::vector<std::string> Names() const;
@@ -159,6 +194,45 @@ class SynopsisRegistry {
   static constexpr std::string_view kBitrotFaultSite = "registry.bitrot";
 
  private:
+  /// Bumps the generation and hands the graveyard to `*dead`, which the
+  /// caller declares before its lock guard so the versions are torn
+  /// down on the mutating thread after mu_ is released. Caller holds
+  /// mu_.
+  using Graveyard = std::vector<std::shared_ptr<const void>>;
+  void Mutated(Graveyard* dead) {
+    gen_.fetch_add(1, std::memory_order_release);
+    dead->swap(graveyard_);
+  }
+
+  /// One cached lookup: valid while the generation is still `gen`.
+  struct LookupSlot {
+    uint64_t gen = 0;  // 0 = never filled (gen_ starts at 1)
+    std::string name;
+    NameLookup lookup;
+  };
+  /// One thread's cached lookups, written only by that thread.
+  struct alignas(64) LookupLane {
+    LookupSlot slots[kLookupSlots];
+    size_t next = 0;  // round-robin refill cursor
+  };
+
+  /// Empties `slot`, moving each version it held alone into
+  /// graveyard_. Caller holds mu_.
+  void Bury(LookupSlot* slot) const;
+  /// Fills `slot` for `name` at the current generation. Caller holds mu_.
+  const NameLookup& Fill(LookupSlot* slot, const std::string& name) const;
+
+  /// Unique per instance (never reused): keys the thread-local entry of
+  /// threads without a lane.
+  const uint64_t id_;
+  /// Written only under mu_; read lock-free by Lookup.
+  std::atomic<uint64_t> gen_{1};
+  mutable LaneClaims lookup_claims_;
+  const std::unique_ptr<LookupLane[]> lookup_lanes_;
+  /// Versions a lookup slot held last: a request dropping a replaced
+  /// version must not pay for tearing down a synopsis and its document,
+  /// so the next mutation frees them instead (guarded by mu_).
+  mutable Graveyard graveyard_;
   mutable std::mutex mu_;
   std::unordered_map<std::string, SynopsisSnapshot> map_;
   std::unordered_map<std::string, Status> quarantine_;

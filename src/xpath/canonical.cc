@@ -28,23 +28,27 @@ void AppendHeader(const Query& q, int n, std::string* out) {
 
 std::string StripWhitespace(std::string_view xpath) {
   std::string out;
-  out.reserve(xpath.size());
+  AppendStripped(xpath, &out);
+  return out;
+}
+
+void AppendStripped(std::string_view xpath, std::string* out) {
+  out->reserve(out->size() + xpath.size());
   bool in_quote = false;
   for (size_t i = 0; i < xpath.size(); ++i) {
     const char c = xpath[i];
     if (in_quote && c == '\\' && i + 1 < xpath.size()) {
       // Escaped character inside a literal: copy both bytes verbatim so
       // \" neither ends the quoted region nor loses inner whitespace.
-      out.push_back(c);
-      out.push_back(xpath[i + 1]);
+      out->push_back(c);
+      out->push_back(xpath[i + 1]);
       ++i;
       continue;
     }
     if (c == '"') in_quote = !in_quote;
     if (!in_quote && std::isspace(static_cast<unsigned char>(c))) continue;
-    out.push_back(c);
+    out->push_back(c);
   }
-  return out;
 }
 
 std::string EscapeValueFilter(std::string_view value) {

@@ -15,6 +15,9 @@ namespace xee::xpath {
 /// quoted region. The grammar of ParseXPath is whitespace-free outside
 /// literals; callers strip before parsing.
 std::string StripWhitespace(std::string_view xpath);
+/// StripWhitespace appending to `*out`, so a caller can reuse one
+/// buffer across requests.
+void AppendStripped(std::string_view xpath, std::string* out);
 
 /// Escapes a value-predicate literal for embedding between double
 /// quotes: '\' becomes "\\" and '"' becomes "\"". This is the inverse

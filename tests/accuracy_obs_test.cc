@@ -74,9 +74,9 @@ TEST(AccuracyTrackerTest, SamplingIsSeedDeterministic) {
 
   std::vector<bool> da, db, dc;
   for (int i = 0; i < 4096; ++i) {
-    da.push_back(a.ShouldSample());
-    db.push_back(b.ShouldSample());
-    dc.push_back(c.ShouldSample());
+    da.push_back(a.ShouldSample(i));
+    db.push_back(b.ShouldSample(i));
+    dc.push_back(c.ShouldSample(i));
   }
   // Same (seed, rate): identical decision sequence, tick by tick.
   EXPECT_EQ(da, db);
@@ -97,13 +97,13 @@ TEST(AccuracyTrackerTest, SampleZeroDisablesAndOneAlwaysFires) {
   o.sample = 0;
   AccuracyTracker off(&r, o);
   EXPECT_FALSE(off.enabled());
-  for (int i = 0; i < 100; ++i) EXPECT_FALSE(off.ShouldSample());
+  for (int i = 0; i < 100; ++i) EXPECT_FALSE(off.ShouldSample(i));
 
   Registry r2;
   o.sample = 1;
   AccuracyTracker on(&r2, o);
   EXPECT_TRUE(on.enabled());
-  for (int i = 0; i < 100; ++i) EXPECT_TRUE(on.ShouldSample());
+  for (int i = 0; i < 100; ++i) EXPECT_TRUE(on.ShouldSample(i));
 }
 
 TEST(AccuracyTrackerTest, PendingCapSuppressesBacklog) {
@@ -223,7 +223,7 @@ TEST(AccuracyTrackerTest, ConservationAcrossAllPhases) {
   QueryClass cls;
   uint64_t sampled = 0;
   for (int i = 0; i < 1000; ++i) {
-    if (!t.ShouldSample()) continue;
+    if (!t.ShouldSample(i)) continue;
     ++sampled;
     switch (sampled % 4) {
       case 0:
@@ -291,7 +291,7 @@ TEST(AccuracyTrackerTest, ConcurrentRecordingConserves) {
       QueryClass cls;
       cls.depth = ti + 1;
       for (int i = 0; i < kPerThread; ++i) {
-        if (!t.ShouldSample()) continue;
+        if (!t.ShouldSample(i)) continue;
         if (!t.TryBeginShadow()) continue;
         t.Record("syn-" + std::to_string(ti % 2), 1, cls, "//a/b",
                  static_cast<double>(i % 7 + 1), 3);

@@ -284,7 +284,9 @@ TEST(ServiceIntel, CountersFollowTheAnswerAndAliasFamiliesShareOneEntry) {
   (void)svc.Estimate("p", "//A[C][B]/no-such-tag");  // prune, canonical hit
   service::ServiceStatsSnapshot s = svc.Stats();
   EXPECT_EQ(s.analyzer_pruned, 4u);
-  EXPECT_EQ(s.analyzer_checked, 3u);  // the exact hit skipped the analyzer
+  // The analyzer runs only after a canonical-key miss: the exact hit and
+  // the canonical hit of the respelled prune both skipped it.
+  EXPECT_EQ(s.analyzer_checked, 2u);
   EXPECT_EQ(s.misses, 0u);            // no prune ever compiled a plan
   EXPECT_EQ(s.exact_hits, 1u);
 
@@ -298,10 +300,11 @@ TEST(ServiceIntel, CountersFollowTheAnswerAndAliasFamiliesShareOneEntry) {
   }
   s = svc.Stats();
   EXPECT_EQ(s.misses, 3u);          // "//B" and each semantic alias
-  EXPECT_EQ(s.canonical_hits, 1u);  // the syntactic alias
+  // The respelled prune and the syntactic alias.
+  EXPECT_EQ(s.canonical_hits, 2u);
   // 5 canonical entries (2 pruned, 3 estimated) + 7 exact-string aliases.
   EXPECT_EQ(s.cache_entries, 12u);
-  EXPECT_EQ(s.analyzer_checked, 7u);
+  EXPECT_EQ(s.analyzer_checked, 5u);
 }
 
 TEST(ServiceIntel, EpochBumpKillsSharedEntriesOnceAndRevalidatesPrunes) {

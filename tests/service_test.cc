@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -296,6 +297,107 @@ TEST(ServiceTest, ConcurrentHammerMatchesSingleThreadedRuns) {
   for (std::thread& th : clients) th.join();
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_GT(svc.Stats().exact_hits, 0u);
+}
+
+// EstimateBatch looks each tenant up once per batch: a Register swap
+// racing the batch may land before or after it, but never between two of
+// one tenant's members. The two versions answer //A/B differently (the
+// XMark document has no A), so a mixed batch shows as unequal values.
+TEST(ServiceTest, RegisterSwapRacingBatchNeverMixesEpochsWithinATenant) {
+  EstimationService svc({.threads = 4});
+  auto paper = std::make_shared<const estimator::Synopsis>(PaperSynopsis());
+  datagen::GenOptions gen;
+  gen.scale = 0.05;
+  auto xmark = std::make_shared<const estimator::Synopsis>(
+      estimator::Synopsis::Build(datagen::GenerateXMark(gen), {}));
+  const double on_paper = Direct(*paper, "//A/B").value();
+  ASSERT_GT(on_paper, 0.0);
+  svc.registry().Register("swap", paper);
+  svc.registry().Register("steady", paper);
+
+  std::vector<QueryRequest> batch;
+  for (int i = 0; i < 256; ++i) {
+    // Both tenants interleaved; respellings keep some members off the
+    // exact-hit path.
+    batch.push_back(QueryRequest{"swap", i % 2 ? "//A/B" : "//A/child::B"});
+    if (i % 8 == 0) batch.push_back(QueryRequest{"steady", "//A/B"});
+  }
+
+  std::atomic<bool> stop{false};
+  std::thread swapper([&] {
+    for (int i = 0; !stop.load(); ++i) {
+      svc.registry().Register("swap", i % 2 ? paper : xmark);
+    }
+  });
+  int mixed = 0, failed = 0;
+  for (int round = 0; round < 200; ++round) {
+    const std::vector<EstimateOutcome> got = svc.EstimateBatch(batch);
+    std::optional<double> swap_value;
+    for (size_t i = 0; i < got.size(); ++i) {
+      if (!got[i].ok()) {
+        ++failed;
+        continue;
+      }
+      if (batch[i].synopsis == "steady") {
+        if (got[i].value() != on_paper) ++mixed;
+      } else if (!swap_value.has_value()) {
+        swap_value = got[i].value();
+      } else if (got[i].value() != *swap_value) {
+        ++mixed;
+      }
+    }
+  }
+  stop.store(true);
+  swapper.join();
+  EXPECT_EQ(failed, 0);
+  EXPECT_EQ(mixed, 0);
+}
+
+// The per-request counters live in per-thread lanes summed on read;
+// after eight clients (each also running batches, whose members run on
+// the caller and the pool) every total must be exact, through the stats
+// snapshot and the registry rows alike.
+TEST(ServiceTest, CountersAreExactAfterAnEightThreadHammer) {
+  EstimationService svc({.threads = 4});
+  svc.registry().Register("paper", PaperSynopsis());
+  std::vector<QueryRequest> warm;
+  for (const char* q : kPaperQueries) warm.push_back(QueryRequest{"paper", q});
+  for (const QueryRequest& r : warm) (void)svc.Estimate(r);
+  const ServiceStatsSnapshot before = svc.Stats();
+  ASSERT_EQ(before.requests, warm.size());
+
+  constexpr size_t kThreads = 8;
+  constexpr size_t kIters = 300;
+  constexpr size_t kBatchEvery = 50;
+  std::vector<std::thread> clients;
+  for (size_t t = 0; t < kThreads; ++t) {
+    clients.emplace_back([&, t] {
+      for (size_t it = 0; it < kIters; ++it) {
+        if (it % kBatchEvery == 0) {
+          (void)svc.EstimateBatch(warm);
+        } else {
+          (void)svc.Estimate(warm[(t + it) % warm.size()]);
+        }
+      }
+    });
+  }
+  for (std::thread& th : clients) th.join();
+
+  const size_t batches = kThreads * (kIters / kBatchEvery);
+  const size_t singles = kThreads * kIters - batches;
+  const uint64_t hammered = singles + batches * warm.size();
+  const ServiceStatsSnapshot s = svc.Stats();
+  EXPECT_EQ(s.requests, before.requests + hammered);
+  EXPECT_EQ(s.exact_hits, before.exact_hits + hammered);  // all warm
+  EXPECT_EQ(s.canonical_hits, before.canonical_hits);
+  EXPECT_EQ(s.misses, before.misses);
+  EXPECT_EQ(s.batches, batches);
+  const obs::Registry& r = svc.obs();
+  EXPECT_EQ(r.CounterValue("service.requests"), s.requests);
+  EXPECT_EQ(r.CounterValue("service.plan_cache", "outcome=exact_hit"),
+            s.exact_hits);
+  EXPECT_EQ(r.CounterValue("service.plan_cache", "outcome=miss"), s.misses);
+  EXPECT_EQ(r.CounterValue("tenant.requests", "tenant=paper"), s.requests);
 }
 
 // ---------------------------------------------------------------------------
