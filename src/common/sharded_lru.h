@@ -2,13 +2,14 @@
 #define XEE_COMMON_SHARDED_LRU_H_
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <list>
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "common/check.h"
 #include "common/lanes.h"
@@ -95,6 +96,13 @@ class LaneRwLock {
 /// that stays valid after the entry is evicted; Copy() copies the value
 /// out under the shared lock instead, touching no refcount.
 ///
+/// Every lookup and Put has a form that carries the key's hash
+/// (HashOf(key)), so a caller that probes and fills under one key hashes
+/// it once: the hash picks the shard and the index slot, and is stored
+/// with the entry, so neither an index resize nor an eviction rehashes a
+/// key.
+/// The forms without it compute HashOf themselves.
+///
 /// Thread-safety contract: all methods may be called concurrently; each
 /// shard is guarded by its own reader/writer lock and no operation takes
 /// more than one shard lock (so none may be called from inside another).
@@ -110,44 +118,56 @@ class ShardedLru {
         shard_budget_(byte_budget / (shards < 1 ? 1 : shards)),
         shards_(new Shard[shard_count_]) {}
 
+  /// The hash the hash-carrying forms below expect for `key`.
+  static size_t HashOf(const K& key) { return Hash{}(key); }
+
   /// Returns the cached value and marks it referenced, or nullptr.
-  std::shared_ptr<const V> Get(const K& key) {
-    Shard& s = ShardFor(key);
+  std::shared_ptr<const V> Get(const K& key) { return Get(key, HashOf(key)); }
+  /// Get() with `hash` == HashOf(key) precomputed.
+  std::shared_ptr<const V> Get(const K& key, size_t hash) {
+    Shard& s = ShardFor(hash);
     ReadLock lock(&s.mu, claims_.Mine());
-    auto it = s.map.find(key);
-    if (it == s.map.end()) return nullptr;
-    Touch(*it->second);
-    return it->second->value;
+    const Slot* slot = s.index.Find(key, hash);
+    if (slot == nullptr) return nullptr;
+    Touch(*slot->entry);
+    return slot->entry->value;
   }
 
   /// Copies the cached value into `*out` and marks it referenced;
   /// false (leaving `*out` alone) when `key` is absent.
-  bool Copy(const K& key, V* out) {
-    Shard& s = ShardFor(key);
+  bool Copy(const K& key, V* out) { return Copy(key, HashOf(key), out); }
+  /// Copy() with `hash` == HashOf(key) precomputed.
+  bool Copy(const K& key, size_t hash, V* out) {
+    Shard& s = ShardFor(hash);
     ReadLock lock(&s.mu, claims_.Mine());
-    auto it = s.map.find(key);
-    if (it == s.map.end()) return false;
-    Touch(*it->second);
-    *out = *it->second->value;
+    const Slot* slot = s.index.Find(key, hash);
+    if (slot == nullptr) return false;
+    Touch(*slot->entry);
+    *out = *slot->entry->value;
     return true;
   }
 
   /// Inserts or replaces `key`, charging `bytes` against the budget and
   /// evicting as needed. The entry just put is never the one evicted.
   void Put(const K& key, std::shared_ptr<const V> value, size_t bytes) {
+    Put(key, HashOf(key), std::move(value), bytes);
+  }
+  /// Put() with `hash` == HashOf(key) precomputed.
+  void Put(const K& key, size_t hash, std::shared_ptr<const V> value,
+           size_t bytes) {
     XEE_CHECK(value != nullptr);
-    Shard& s = ShardFor(key);
+    Shard& s = ShardFor(hash);
     std::lock_guard<LaneRwLock> lock(s.mu);
-    auto it = s.map.find(key);
-    if (it != s.map.end()) {
-      s.bytes -= it->second->bytes;
-      s.ring.erase(it->second);
-      s.map.erase(it);
-    }
     // Newest at the front; the sweep starts from the back.
-    s.ring.emplace_front(key, std::move(value), bytes);
+    s.ring.emplace_front(key, hash, std::move(value), bytes);
     const auto fresh = s.ring.begin();
-    s.map.emplace(key, fresh);
+    if (Slot* slot = s.index.Find(key, hash)) {
+      s.bytes -= slot->entry->bytes;
+      s.ring.erase(slot->entry);
+      slot->entry = fresh;
+    } else {
+      s.index.Insert(hash, fresh);
+    }
     s.bytes += bytes;
     while (s.bytes > shard_budget_ && s.ring.size() > 1) {
       const auto victim = std::prev(s.ring.end());
@@ -159,7 +179,7 @@ class ShardedLru {
         continue;
       }
       s.bytes -= victim->bytes;
-      s.map.erase(victim->key);
+      s.index.Erase(victim);
       s.ring.erase(victim);
       ++s.evictions;
     }
@@ -171,7 +191,7 @@ class ShardedLru {
       Shard& s = shards_[i];
       std::lock_guard<LaneRwLock> lock(s.mu);
       s.ring.clear();
-      s.map.clear();
+      s.index.Clear();
       s.bytes = 0;
     }
   }
@@ -179,16 +199,25 @@ class ShardedLru {
   /// Debug audit: recomputes every shard's charged bytes from its live
   /// entries and compares against the running totals kept by Put/evict —
   /// the overwrite-with-different-size path in particular must credit
-  /// the old charge before debiting the new one. O(entries); tests call
-  /// this after randomized insert/overwrite/evict sequences.
+  /// the old charge before debiting the new one. Also checks that every
+  /// entry lives in its hash's shard, stores HashOf(key), and is what
+  /// the index finds for it. O(entries); tests call this after randomized
+  /// insert/overwrite/evict sequences.
   bool DebugCheckBalanced() const {
     for (size_t i = 0; i < shard_count_; ++i) {
       Shard& s = shards_[i];
       std::lock_guard<LaneRwLock> lock(s.mu);
       size_t sum = 0;
-      for (const Entry& e : s.ring) sum += e.bytes;
+      for (auto e = s.ring.begin(); e != s.ring.end(); ++e) {
+        sum += e->bytes;
+        if (e->hash != HashOf(e->key) || &ShardFor(e->hash) != &s) {
+          return false;
+        }
+        const Slot* slot = s.index.Find(e->key, e->hash);
+        if (slot == nullptr || slot->entry != e) return false;
+      }
       if (sum != s.bytes) return false;
-      if (s.ring.size() != s.map.size()) return false;
+      if (s.ring.size() != s.index.size()) return false;
     }
     return true;
   }
@@ -209,16 +238,105 @@ class ShardedLru {
 
  private:
   struct Entry {
-    Entry(const K& k, std::shared_ptr<const V> v, size_t b)
-        : key(k), value(std::move(v)), bytes(b) {}
+    Entry(const K& k, size_t h, std::shared_ptr<const V> v, size_t b)
+        : key(k), hash(h), value(std::move(v)), bytes(b) {}
 
     K key;
+    size_t hash;  ///< HashOf(key), for evicting without rehashing
     std::shared_ptr<const V> value;
     size_t bytes = 0;
     /// The CLOCK bit: set by lookups under the shared lock, cleared by
     /// the sweep under the exclusive one.
     std::atomic<bool> referenced{false};
   };
+  using RingIter = typename std::list<Entry>::iterator;
+  /// One index slot: a ring entry and its hash with the low bit forced
+  /// on (`tag`), so 0 marks an empty slot.
+  struct Slot {
+    size_t tag = 0;
+    RingIter entry{};
+  };
+  /// A shard's open-addressed index over its ring. A slot's home is
+  /// picked by the top bits of its tag times a Fibonacci constant (the
+  /// low bits of a hash also pick the shard, so they repeat within one);
+  /// probing is linear, the table stays at most half full, and an erase
+  /// shifts the rest of its run back, so a miss reads one short run of
+  /// adjacent slots and compares a key only on a tag match. Growing
+  /// re-places slots by their tags: no key is rehashed.
+  class Index {
+   public:
+    Slot* Find(const K& key, size_t hash) {
+      if (slots_.empty()) return nullptr;
+      const size_t tag = hash | 1;
+      for (size_t i = Home(tag);; i = (i + 1) & mask_) {
+        Slot& slot = slots_[i];
+        if (slot.tag == 0) return nullptr;
+        if (slot.tag == tag && slot.entry->key == key) return &slot;
+      }
+    }
+    /// Files `entry` (whose key is absent) under `hash`.
+    void Insert(size_t hash, RingIter entry) {
+      if (2 * (size_ + 1) > slots_.size()) Grow();
+      Place(Slot{hash | 1, entry});
+      ++size_;
+    }
+    /// Removes the slot of `entry`, found by its stored hash.
+    void Erase(RingIter entry) {
+      const size_t tag = entry->hash | 1;
+      size_t i = Home(tag);
+      while (slots_[i].tag != tag || slots_[i].entry != entry) {
+        i = (i + 1) & mask_;
+      }
+      // Backward shift: a later slot of the run moves into the hole
+      // unless its home lies cyclically in (hole, slot].
+      for (size_t j = (i + 1) & mask_; slots_[j].tag != 0;
+           j = (j + 1) & mask_) {
+        const size_t home = Home(slots_[j].tag);
+        const bool stays = i <= j ? (i < home && home <= j)
+                                  : (i < home || home <= j);
+        if (!stays) {
+          slots_[i] = slots_[j];
+          i = j;
+        }
+      }
+      slots_[i] = Slot{};
+      --size_;
+    }
+    void Clear() {
+      slots_.clear();
+      size_ = 0;
+      mask_ = 0;
+      shift_ = 64;
+    }
+    size_t size() const { return size_; }
+
+   private:
+    size_t Home(size_t tag) const {
+      return static_cast<size_t>(
+          (static_cast<uint64_t>(tag) * 0x9e3779b97f4a7c15ull) >> shift_);
+    }
+    void Place(const Slot& slot) {
+      size_t i = Home(slot.tag);
+      while (slots_[i].tag != 0) i = (i + 1) & mask_;
+      slots_[i] = slot;
+    }
+    void Grow() {
+      std::vector<Slot> old = std::move(slots_);
+      const size_t cap = old.empty() ? 16 : 2 * old.size();
+      slots_.assign(cap, Slot{});
+      mask_ = cap - 1;
+      shift_ = 64 - static_cast<unsigned>(std::countr_zero(cap));
+      for (const Slot& slot : old) {
+        if (slot.tag != 0) Place(slot);
+      }
+    }
+
+    std::vector<Slot> slots_;
+    size_t size_ = 0;
+    size_t mask_ = 0;
+    unsigned shift_ = 64;
+  };
+
   /// Scoped shared hold of a shard lock under the calling thread's lane.
   class ReadLock {
    public:
@@ -236,11 +354,7 @@ class ShardedLru {
   struct Shard {
     mutable LaneRwLock mu;
     std::list<Entry> ring;  // front = newest; the sweep takes the back
-    // The custom Hash must reach the map too, not just ShardFor — a key
-    // type without a std::hash specialization fails to compile (and one
-    // with a *different* std::hash would shard on one function and
-    // bucket on another).
-    std::unordered_map<K, typename std::list<Entry>::iterator, Hash> map;
+    Index index;            // over `ring`; the custom Hash reaches it via HashOf
     size_t bytes = 0;
     uint64_t evictions = 0;
   };
@@ -251,9 +365,7 @@ class ShardedLru {
     }
   }
 
-  Shard& ShardFor(const K& key) const {
-    return shards_[Hash{}(key) % shard_count_];
-  }
+  Shard& ShardFor(size_t hash) const { return shards_[hash % shard_count_]; }
 
   const size_t shard_count_;
   const size_t shard_budget_;

@@ -1,9 +1,10 @@
 #include "estimator/estimator.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <chrono>
 #include <deque>
-#include <set>
 
 #include "encoding/containment.h"
 #include "obs/metrics.h"
@@ -21,23 +22,6 @@ using xpath::StructAxis;
 encoding::AxisKind ToAxisKind(StructAxis axis) {
   return axis == StructAxis::kChild ? encoding::AxisKind::kChild
                                     : encoding::AxisKind::kDescendant;
-}
-
-/// True iff `node` is a strict descendant of `anc` in the query tree.
-bool IsQueryDescendant(const Query& q, int anc, int node) {
-  for (int n = q.nodes[node].parent; n != -1; n = q.nodes[n].parent) {
-    if (n == anc) return true;
-  }
-  return false;
-}
-
-/// Propagates a node mask downwards: any descendant of a marked node
-/// becomes marked. Parents precede children in index order.
-void PropagateDown(const Query& q, std::vector<bool>* mask) {
-  for (size_t i = 0; i < q.nodes.size(); ++i) {
-    int p = q.nodes[i].parent;
-    if (p >= 0 && (*mask)[p]) (*mask)[i] = true;
-  }
 }
 
 bool Intersects(const uint64_t* a, const uint64_t* b, size_t n) {
@@ -60,37 +44,160 @@ Status DeadlineError(const char* when) {
                 std::string("deadline expired ") + when);
 }
 
-/// The tag ids of `sub`'s nodes, carried over from `tags` (its parent
-/// query's) through the old-to-new node map SubQuery returned.
-std::vector<xml::TagId> SubTags(const std::vector<xml::TagId>& tags,
-                                const std::vector<int>& map,
-                                const Query& sub) {
-  std::vector<xml::TagId> out(sub.nodes.size());
-  for (size_t i = 0; i < map.size(); ++i) {
-    if (map[i] >= 0) out[map[i]] = tags[i];
-  }
-  return out;
-}
-
 }  // namespace
+
+struct Estimator::Plan {
+  struct Node {
+    xml::TagId tag;
+    int parent;  // -1 for node 0
+    StructAxis axis;
+  };
+
+  /// The query the plan resolves: its value predicates, target and
+  /// constraints are read from here.
+  const Query* query = nullptr;
+  RootMode root_mode = RootMode::kAnywhere;
+  /// Nodes 0 .. base - 1 are the query's own, with its indices; the
+  /// document-order rewrite appends chain nodes and subtree copies after
+  /// them. Parents always precede children.
+  size_t base = 0;
+  std::vector<Node> nodes;
+  std::vector<uint32_t> kid_at;  // nodes.size() + 1 offsets into kids
+  std::vector<int> kids;         // children of each node, ascending
+
+  size_t size() const { return nodes.size(); }
+  std::span<const int> Kids(int i) const {
+    return std::span<const int>(kids).subspan(kid_at[i],
+                                              kid_at[i + 1] - kid_at[i]);
+  }
+  int AddNode(xml::TagId tag, int parent, StructAxis axis) {
+    nodes.push_back(Node{tag, parent, axis});
+    return static_cast<int>(nodes.size()) - 1;
+  }
+  /// Rebuilds the children ranges after nodes were added.
+  void IndexChildren() {
+    kid_at.assign(nodes.size() + 1, 0);
+    for (const Node& n : nodes) {
+      if (n.parent >= 0) ++kid_at[n.parent + 1];
+    }
+    for (size_t i = 0; i < nodes.size(); ++i) kid_at[i + 1] += kid_at[i];
+    kids.resize(kid_at[nodes.size()]);
+    std::vector<uint32_t> fill(kid_at.begin(), kid_at.end() - 1);
+    for (size_t i = 0; i < nodes.size(); ++i) {
+      if (nodes[i].parent >= 0) {
+        kids[fill[nodes[i].parent]++] = static_cast<int>(i);
+      }
+    }
+  }
+  /// True iff `node` is a strict descendant of `anc`.
+  bool IsDescendant(int anc, int node) const {
+    for (int n = nodes[node].parent; n != -1; n = nodes[n].parent) {
+      if (n == anc) return true;
+    }
+    return false;
+  }
+};
+
+class Estimator::NodeMask {
+ public:
+  /// Nodes 0 .. n - 1.
+  static NodeMask FirstN(size_t n) {
+    NodeMask m;
+    for (size_t i = 0; i < n; ++i) m.Add(i);
+    return m;
+  }
+
+  bool Has(size_t i) const {
+    const size_t w = i >> 6;
+    return w < words() && ((Word(w) >> (i & 63)) & 1) != 0;
+  }
+  void Add(size_t i) {
+    const size_t w = i >> 6;
+    if (w >= kInline && heap_.size() <= w - kInline) {
+      heap_.resize(w - kInline + 1, 0);
+    }
+    MutableWord(w) |= uint64_t{1} << (i & 63);
+  }
+  void Remove(size_t i) {
+    const size_t w = i >> 6;
+    if (w < words()) MutableWord(w) &= ~(uint64_t{1} << (i & 63));
+  }
+  /// Removes `node` and every plan descendant of it.
+  void RemoveSubtree(const Plan& plan, int node) {
+    Remove(node);
+    for (int c : plan.Kids(node)) RemoveSubtree(plan, c);
+  }
+  /// Calls f(i) for every node in the mask, ascending.
+  template <typename F>
+  void ForEach(F f) const {
+    for (size_t w = 0; w < words(); ++w) {
+      for (uint64_t bits = Word(w); bits != 0; bits &= bits - 1) {
+        f(static_cast<int>(w * 64 + std::countr_zero(bits)));
+      }
+    }
+  }
+
+  friend bool operator==(const NodeMask& a, const NodeMask& b) {
+    if (a.inline_ != b.inline_) return false;
+    const std::vector<uint64_t>& lo = a.heap_.size() < b.heap_.size()
+                                          ? a.heap_
+                                          : b.heap_;
+    const std::vector<uint64_t>& hi = &lo == &a.heap_ ? b.heap_ : a.heap_;
+    for (size_t w = 0; w < hi.size(); ++w) {
+      if (hi[w] != (w < lo.size() ? lo[w] : 0)) return false;
+    }
+    return true;
+  }
+
+ private:
+  /// Plans up to 128 nodes keep their mask inline.
+  static constexpr size_t kInline = 2;
+  size_t words() const { return kInline + heap_.size(); }
+  uint64_t Word(size_t w) const {
+    return w < kInline ? inline_[w] : heap_[w - kInline];
+  }
+  uint64_t& MutableWord(size_t w) {
+    return w < kInline ? inline_[w] : heap_[w - kInline];
+  }
+
+  std::array<uint64_t, kInline> inline_{};
+  std::vector<uint64_t> heap_;
+};
+
+struct Estimator::JoinLists {
+  /// Every node's list, back to back; node i's is the `size[i]`
+  /// candidates from `begin[i]` (none for nodes outside the join's mask).
+  std::vector<Cand> cands;
+  std::vector<uint32_t> begin;
+  std::vector<uint32_t> size;
+
+  Cand* List(int i) { return cands.data() + begin[i]; }
+  std::span<const Cand> List(int i) const {
+    return std::span<const Cand>(cands).subspan(begin[i], size[i]);
+  }
+  double FreqSum(int i) const {
+    double s = 0;
+    for (const Cand& c : List(i)) s += c.freq;
+    return s;
+  }
+};
 
 struct Estimator::JoinMemo {
   struct Entry {
-    /// Everything PathJoin reads from a query: the root mode, then one
-    /// word per node packing (resolved tag id, parent + 1, axis). Orders,
-    /// target and value filters do not influence the join, so subqueries
-    /// differing only there share an entry.
-    std::vector<uint64_t> key;
+    /// The joined subquery. Everything else a join reads (tags, parents,
+    /// axes, root mode) is the call's plan; orders, target and value
+    /// filters do not influence the join, so subqueries differing only
+    /// there share an entry.
+    NodeMask key;
     bool ok = false;
-    std::vector<CandList> cands;
+    JoinLists lists;
   };
   /// A handful of entries per call, so a linear scan finds them; a deque
   /// keeps handed-out survivor lists in place as entries are appended.
   std::deque<Entry> entries;
-  /// The key being looked up, reused across the call's PathJoins.
-  std::vector<uint64_t> key;
   /// Buffers of the join's half-sweeps, reused across the call's sweeps.
   struct Scratch {
+    std::vector<int> kept;          // the joined mask's nodes, ascending
     std::vector<size_t> group_end;  // end index of each parent-tag group
     std::vector<uint8_t> passed;    // per child: kept by the half-sweep
     std::vector<uint64_t> ok_pids;  // pids of children passing one group
@@ -107,18 +214,19 @@ bool Estimator::RunCtx::CheckCoarse() {
 
 Result<double> Estimator::Estimate(const Query& query,
                                    const EstimateLimits& limits) const {
+  Plan plan;
   JoinMemo memo;
   RunCtx ctx{limits.deadline};
+  ctx.plan = &plan;
   ctx.join_memo = &memo;
   ctx.timed = limits.timed && limits.trace != nullptr;
   if (ctx.CheckCoarse()) return DeadlineError("before estimation began");
   Status s = query.Validate();
   if (!s.ok()) return s;  // nothing counted yet
-  // Tags resolve once per call; every subquery the formula walk derives
-  // carries its ids over from here.
-  std::vector<xml::TagId> tags;
-  Result<double> r =
-      ResolveTags(query, &tags) ? EstimateImpl(query, tags, &ctx) : 0.0;
+  // Tags resolve once per call, into the plan every subquery masks.
+  Result<double> r = ResolvePlan(query, &plan)
+                         ? EstimateImpl(query.orders, /*filters=*/true, &ctx)
+                         : 0.0;
   FlushCounters(ctx, limits);
   // Partial values computed under an expired deadline are garbage; the
   // latched flag wins over whatever bubbled up.
@@ -154,13 +262,15 @@ void Estimator::FlushCounters(const RunCtx& ctx,
   }
 }
 
-Result<double> Estimator::EstimateImpl(const Query& query,
-                                       const std::vector<xml::TagId>& tags,
-                                       RunCtx* ctx) const {
+Result<double> Estimator::EstimateImpl(std::span<const OrderConstraint> orders,
+                                       bool filters, RunCtx* ctx) const {
+  const Plan& plan = *ctx->plan;
+  const Query& query = *plan.query;
+  const NodeMask base = NodeMask::FirstN(plan.base);
   // Value predicates (extension): estimate the structure-only query and
   // scale by the per-node text selectivities under independence. Built
   // without value statistics, filters are ignored (factor 1).
-  {
+  if (filters) {
     bool any_filter = false;
     for (const auto& n : query.nodes) any_filter |= n.value_filter.has_value();
     if (any_filter) {
@@ -173,41 +283,38 @@ Result<double> Estimator::EstimateImpl(const Query& query,
         std::vector<double> sels;
         for (size_t i = 0; i < query.nodes.size(); ++i) {
           if (!query.nodes[i].value_filter.has_value()) continue;
+          const xml::TagId tag = plan.nodes[i].tag;
           sels.push_back(
-              tags[i] == encoding::kWildcardTag
+              tag == encoding::kWildcardTag
                   ? vs->GlobalSelectivity(*query.nodes[i].value_filter)
-                  : vs->Selectivity(tags[i], *query.nodes[i].value_filter));
+                  : vs->Selectivity(tag, *query.nodes[i].value_filter));
         }
         std::sort(sels.begin(), sels.end());
         for (double s : sels) factor *= s;
       }
       if (factor <= 0) return 0.0;
-      Query structural = query;
-      for (auto& n : structural.nodes) n.value_filter.reset();
-      Result<double> base = EstimateImpl(structural, tags, ctx);
-      if (!base.ok()) return base;
-      return base.value() * factor;
+      Result<double> base_value = EstimateImpl(orders, /*filters=*/false, ctx);
+      if (!base_value.ok()) return base_value;
+      return base_value.value() * factor;
     }
   }
 
-  if (query.orders.empty()) {
-    return EstimateNoOrder(query, tags, query.target, ctx);
+  if (orders.empty()) {
+    return EstimateNoOrder(base, query.target, ctx);
   }
-  if (query.orders.size() > 1) {
+  if (orders.size() > 1) {
     // Extension beyond the paper (which evaluates one order axis per
     // query): assume constraints filter independently and compose the
     // per-constraint ratios S_arrow(Q | c_i) / S(Q).
-    const double s_q = EstimateNoOrder(query, tags, query.target, ctx);
+    const double s_q = EstimateNoOrder(base, query.target, ctx);
     if (s_q <= 0) return 0.0;
     // Sorted multiplication: canonicalization reorders the constraint
     // list, and the ratio product must not depend on that order (see the
     // value-predicate path above).
     std::vector<double> ratios;
-    ratios.reserve(query.orders.size());
-    for (const OrderConstraint& c : query.orders) {
-      Query one = query;
-      one.orders = {c};
-      Result<double> r = EstimateImpl(one, tags, ctx);
+    ratios.reserve(orders.size());
+    for (size_t k = 0; k < orders.size(); ++k) {
+      Result<double> r = EstimateImpl(orders.subspan(k, 1), false, ctx);
       if (!r.ok()) return r;
       ratios.push_back(r.value() / s_q);
     }
@@ -219,71 +326,63 @@ Result<double> Estimator::EstimateImpl(const Query& query,
   // Order estimation needs concrete tags for the path-order tables (the
   // constraint endpoints) and, for the following/preceding chain
   // rewrite, the junction.
-  {
-    const OrderConstraint& oc = query.orders[0];
-    for (int n : {oc.before, oc.after}) {
-      if (query.nodes[n].tag == "*") {
-        return Status(StatusCode::kUnsupported,
-                      "wildcard steps cannot carry order constraints");
-      }
-    }
-    const int junction = query.nodes[oc.before].parent;
-    if (oc.kind == OrderKind::kDocument &&
-        query.nodes[junction].tag == "*") {
+  const OrderConstraint& c = orders[0];
+  for (int n : {c.before, c.after}) {
+    if (plan.nodes[n].tag == encoding::kWildcardTag) {
       return Status(StatusCode::kUnsupported,
-                    "following/preceding under a wildcard junction is not "
-                    "supported");
+                    "wildcard steps cannot carry order constraints");
     }
+  }
+  const int junction = plan.nodes[c.before].parent;
+  if (c.kind == OrderKind::kDocument &&
+      plan.nodes[junction].tag == encoding::kWildcardTag) {
+    return Status(StatusCode::kUnsupported,
+                  "following/preceding under a wildcard junction is not "
+                  "supported");
   }
   if (!syn_.has_order()) {
     return Status(StatusCode::kUnsupported,
                   "synopsis was built without order statistics");
   }
-  const OrderConstraint& c = query.orders[0];
   if (c.kind == OrderKind::kSibling) {
-    return EstimateSiblingOrder(query, tags, ctx);
+    return EstimateSiblingOrder(base, c, query.target, ctx);
   }
-  return EstimateDocOrder(query, tags, ctx);
+  return EstimateDocOrder(c, ctx);
 }
 
-bool Estimator::ResolveTags(const Query& q,
-                            std::vector<xml::TagId>* tags) const {
-  tags->clear();
-  tags->reserve(q.nodes.size());
+bool Estimator::ResolvePlan(const Query& q, Plan* plan) const {
+  plan->query = &q;
+  plan->root_mode = q.root_mode;
+  plan->base = q.nodes.size();
+  plan->nodes.clear();
+  plan->nodes.reserve(q.nodes.size());
   for (const auto& n : q.nodes) {
-    if (n.tag == "*") {
-      tags->push_back(encoding::kWildcardTag);
-      continue;
+    xml::TagId tag = encoding::kWildcardTag;
+    if (n.tag != "*") {
+      auto id = syn_.FindTag(n.tag);
+      if (!id.has_value()) return false;
+      tag = *id;
     }
-    auto id = syn_.FindTag(n.tag);
-    if (!id.has_value()) return false;
-    tags->push_back(*id);
+    plan->AddNode(tag, n.parent, n.axis);
   }
+  plan->IndexChildren();
   return true;
 }
 
-const std::vector<Estimator::CandList>* Estimator::PathJoin(
-    const Query& q, const std::vector<xml::TagId>& tags, RunCtx* ctx) const {
-  // The join is a pure function of (node structure, synopsis); orders,
+const Estimator::JoinLists* Estimator::PathJoin(const NodeMask& mask,
+                                                RunCtx* ctx) const {
+  // The join is a pure function of (mask, plan, synopsis); orders,
   // target, and value filters play no part. Never cache a join cut short
   // by an expired deadline — its survivor lists are partial.
   JoinMemo& memo = *ctx->join_memo;
-  memo.key.clear();
-  memo.key.push_back(q.root_mode == RootMode::kAbsolute ? 1 : 0);
-  for (size_t i = 0; i < q.nodes.size(); ++i) {
-    const auto& n = q.nodes[i];
-    memo.key.push_back(uint64_t{tags[i]} << 32 |
-                       static_cast<uint64_t>(n.parent + 1) << 1 |
-                       (n.axis == StructAxis::kChild ? 0 : 1));
-  }
   for (const JoinMemo::Entry& e : memo.entries) {
-    if (e.key == memo.key) return e.ok ? &e.cands : nullptr;
+    if (e.key == mask) return e.ok ? &e.lists : nullptr;
   }
   JoinMemo::Entry& entry = memo.entries.emplace_back();
-  entry.key = memo.key;
+  entry.key = mask;
   const auto start = ctx->timed ? std::chrono::steady_clock::now()
                                 : std::chrono::steady_clock::time_point{};
-  entry.ok = PathJoinImpl(q, tags, &entry.cands, ctx);
+  entry.ok = PathJoinImpl(mask, &entry.lists, ctx);
   if (ctx->timed) {
     ctx->join_ns += static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -294,46 +393,70 @@ const std::vector<Estimator::CandList>* Estimator::PathJoin(
     memo.entries.pop_back();
     return nullptr;
   }
-  return entry.ok ? &entry.cands : nullptr;
+  return entry.ok ? &entry.lists : nullptr;
 }
 
-bool Estimator::PathJoinImpl(const Query& q,
-                             const std::vector<xml::TagId>& tags,
-                             std::vector<CandList>* cands, RunCtx* ctx) const {
+bool Estimator::PathJoinImpl(const NodeMask& mask, JoinLists* lists,
+                             RunCtx* ctx) const {
   if (ctx->CheckCoarse()) return false;
+  const Plan& plan = *ctx->plan;
   // An absolute first step must be the document root: same tag, and the
   // root's path id (the id covering every path).
-  if (q.root_mode == RootMode::kAbsolute && tags[0] != syn_.root_tag() &&
-      tags[0] != encoding::kWildcardTag) {
+  if (plan.root_mode == RootMode::kAbsolute &&
+      plan.nodes[0].tag != syn_.root_tag() &&
+      plan.nodes[0].tag != encoding::kWildcardTag) {
     return false;
   }
+  JoinMemo::Scratch& x = ctx->join_memo->scratch;
+  x.kept.clear();
+  mask.ForEach([&x](int i) { x.kept.push_back(i); });
+
   // Candidates in p-histogram bucket order, each carrying its bucket's
   // average: the pids and doubles PidsInOrder() and Frequency() give,
   // without a per-pid lookup. "*" lists hold one entry per (tag, pid)
   // pair, keeping the tag so the join tests relationships per concrete
   // tag.
-  auto append = [this](xml::TagId tag, CandList* list) {
+  size_t total = 0;
+  for (int i : x.kept) {
+    const xml::TagId tag = plan.nodes[i].tag;
+    if (tag != encoding::kWildcardTag) {
+      total += syn_.PHisto(tag).PidsInOrder().size();
+      continue;
+    }
+    for (size_t t = 0; t < syn_.TagCount(); ++t) {
+      total += syn_.PHisto(static_cast<xml::TagId>(t)).PidsInOrder().size();
+    }
+  }
+  std::vector<Cand>& all = lists->cands;
+  all.clear();
+  all.reserve(total);
+  lists->begin.assign(plan.size(), 0);
+  lists->size.assign(plan.size(), 0);
+  auto append = [this, &all](xml::TagId tag) {
     for (const histogram::PHistogram::Bucket& b : syn_.PHisto(tag).buckets()) {
       for (encoding::PidRef pid : b.pids) {
-        list->push_back(Cand{tag, pid, b.avg_freq});
+        all.push_back(Cand{tag, pid, b.avg_freq});
       }
     }
   };
-  cands->assign(q.nodes.size(), CandList{});
-  for (size_t i = 0; i < q.nodes.size(); ++i) {
-    CandList& list = (*cands)[i];
-    if (tags[i] == encoding::kWildcardTag) {
+  for (int i : x.kept) {
+    lists->begin[i] = static_cast<uint32_t>(all.size());
+    if (plan.nodes[i].tag == encoding::kWildcardTag) {
       for (size_t t = 0; t < syn_.TagCount(); ++t) {
-        append(static_cast<xml::TagId>(t), &list);
+        append(static_cast<xml::TagId>(t));
       }
     } else {
-      list.reserve(syn_.PHisto(tags[i]).PidsInOrder().size());
-      append(tags[i], &list);
+      append(plan.nodes[i].tag);
     }
+    lists->size[i] = static_cast<uint32_t>(all.size()) - lists->begin[i];
   }
-  if (q.root_mode == RootMode::kAbsolute) {
-    std::erase_if((*cands)[0],
-                  [this](const Cand& c) { return c.pid != syn_.root_pid(); });
+  if (plan.root_mode == RootMode::kAbsolute) {
+    Cand* root = lists->List(0);
+    uint32_t kept = 0;
+    for (uint32_t k = 0; k < lists->size[0]; ++k) {
+      if (root[k].pid == syn_.root_pid()) root[kept++] = root[k];
+    }
+    lists->size[0] = kept;
   }
 
   // Word-parallel semi-join reduction over the query edges (DESIGN.md
@@ -343,16 +466,13 @@ bool Estimator::PathJoinImpl(const Query& q,
   const encoding::PidJoinIndex& index = syn_.join_index();
   const size_t pid_words = index.pid_words();
   const size_t path_words = index.path_words();
-  JoinMemo::Scratch& x = ctx->join_memo->scratch;
 
-  // Parent-tag groups: runs of equal tag in `pl` (one run unless pl is a
-  // "*" list, whose equal tags are adjacent).
-  auto split_groups = [&x](const CandList& pl) {
+  // Parent-tag groups: runs of equal tag in the list (one run unless it
+  // is a "*" list, whose equal tags are adjacent).
+  auto split_groups = [&x](const Cand* pl, size_t n) {
     x.group_end.clear();
-    for (size_t k = 1; k <= pl.size(); ++k) {
-      if (k == pl.size() || pl[k].tag != pl[k - 1].tag) {
-        x.group_end.push_back(k);
-      }
+    for (size_t k = 1; k <= n; ++k) {
+      if (k == n || pl[k].tag != pl[k - 1].tag) x.group_end.push_back(k);
     }
   };
   // The tag test of child candidate `c` under a parent of tag `above`:
@@ -380,15 +500,16 @@ bool Estimator::PathJoinImpl(const Query& q,
   // groups only ever shrink, so no parent can keep it later, and the
   // reduced lists do not change — but the top-down half under a
   // concrete parent tag may then skip the test.
-  auto reduce_parent = [&](size_t i) {
+  auto reduce_parent = [&](int i) {
     ++ctx->join_probes;
-    const encoding::AxisKind axis = ToAxisKind(q.nodes[i].axis);
-    CandList& pl = (*cands)[q.nodes[i].parent];
-    CandList& cl = (*cands)[i];
-    const size_t before = pl.size() + cl.size();
-    split_groups(pl);
+    const int p = plan.nodes[i].parent;
+    const encoding::AxisKind axis = ToAxisKind(plan.nodes[i].axis);
+    Cand* pl = lists->List(p);
+    Cand* cl = lists->List(i);
+    const size_t pn = lists->size[p];
+    const size_t n = lists->size[i];
+    split_groups(pl, pn);
     const size_t groups = x.group_end.size();
-    const size_t n = cl.size();
     x.passed.assign(n, 0);
     size_t kept = 0;
     for (size_t g = 0, k = 0; g < groups; ++g) {
@@ -407,13 +528,13 @@ bool Estimator::PathJoinImpl(const Query& q,
         }
       }
     }
-    pl.resize(kept);
-    kept = 0;
+    lists->size[p] = static_cast<uint32_t>(kept);
+    size_t ckept = 0;
     for (size_t c = 0; c < n; ++c) {
-      if (x.passed[c] != 0) cl[kept++] = cl[c];
+      if (x.passed[c] != 0) cl[ckept++] = cl[c];
     }
-    cl.resize(kept);
-    return pl.size() + cl.size() != before;
+    lists->size[i] = static_cast<uint32_t>(ckept);
+    return kept + ckept != pn + n;
   };
 
   // Top-down half: keep a child iff some surviving parent's cover row
@@ -421,18 +542,19 @@ bool Estimator::PathJoinImpl(const Query& q,
   // test it must then pass. Under a concrete parent tag every child left
   // already passed that one test in reduce_parent(i), so the cover rows
   // alone decide.
-  auto reduce_child = [&](size_t i) {
+  auto reduce_child = [&](int i) {
     ++ctx->join_probes;
-    const int p = q.nodes[i].parent;
-    const encoding::AxisKind axis = ToAxisKind(q.nodes[i].axis);
-    const CandList& pl = (*cands)[p];
-    CandList& cl = (*cands)[i];
-    const size_t before = cl.size();
-    if (pl.empty()) {
-      cl.clear();
+    const int p = plan.nodes[i].parent;
+    const encoding::AxisKind axis = ToAxisKind(plan.nodes[i].axis);
+    const Cand* pl = lists->List(p);
+    const size_t pn = lists->size[p];
+    Cand* cl = lists->List(i);
+    const size_t before = lists->size[i];
+    if (pn == 0) {
+      lists->size[i] = 0;
       return before != 0;
     }
-    split_groups(pl);
+    split_groups(pl, pn);
     const size_t groups = x.group_end.size();
     x.alive.assign(groups * pid_words, 0);
     for (size_t g = 0, k = 0; g < groups; ++g) {
@@ -442,7 +564,7 @@ bool Estimator::PathJoinImpl(const Query& q,
       }
     }
     size_t kept = 0;
-    if (tags[p] != encoding::kWildcardTag) {
+    if (plan.nodes[p].tag != encoding::kWildcardTag) {
       for (size_t c = 0; c < before; ++c) {
         if (TestBit(x.alive.data(), cl[c].pid - 1)) cl[kept++] = cl[c];
       }
@@ -462,11 +584,13 @@ bool Estimator::PathJoinImpl(const Query& q,
         if (x.passed[c] != 0) cl[kept++] = cl[c];
       }
     }
-    cl.resize(kept);
+    lists->size[i] = static_cast<uint32_t>(kept);
     return kept != before;
   };
 
-  const size_t node_count = q.nodes.size();
+  // x.kept[0] is node 0, the root of every subquery; the rest each have
+  // their parent in the mask and an index above it.
+  const size_t kept_count = x.kept.size();
   if (join_to_fixpoint_) {
     // Round-robin to a fixpoint (ablation A2, and the reference the
     // reducer is tested against): both halves per edge, edges in index
@@ -475,10 +599,10 @@ bool Estimator::PathJoinImpl(const Query& q,
     while (changed) {
       ++ctx->fixpoint_rounds;
       changed = false;
-      for (size_t i = 1; i < node_count; ++i) {
+      for (size_t k = 1; k < kept_count; ++k) {
         if (ctx->CheckCoarse()) return false;
-        changed |= reduce_parent(i);
-        changed |= reduce_child(i);
+        changed |= reduce_parent(x.kept[k]);
+        changed |= reduce_child(x.kept[k]);
       }
     }
   } else {
@@ -488,111 +612,89 @@ bool Estimator::PathJoinImpl(const Query& q,
     // every parent has a partner in each child list, so a list emptied
     // there empties the join, and none empties top-down.
     ctx->fixpoint_rounds += 2;
-    for (size_t i = node_count; i-- > 1;) {
+    for (size_t k = kept_count; k-- > 1;) {
       if (ctx->CheckCoarse()) return false;
+      const int i = x.kept[k];
       reduce_parent(i);
-      if ((*cands)[q.nodes[i].parent].empty()) return false;
+      if (lists->size[plan.nodes[i].parent] == 0) return false;
     }
-    for (size_t i = 1; i < node_count; ++i) {
+    for (size_t k = 1; k < kept_count; ++k) {
       if (ctx->CheckCoarse()) return false;
-      reduce_child(i);
+      reduce_child(x.kept[k]);
     }
   }
 
-  for (const CandList& l : *cands) {
-    if (l.empty()) return false;
+  for (int i : x.kept) {
+    if (lists->size[i] == 0) return false;
   }
   return true;
 }
 
-double Estimator::FreqSum(const CandList& l) {
-  double s = 0;
-  for (const Cand& c : l) s += c.freq;
-  return s;
-}
-
-double Estimator::EstimateNoOrder(const Query& q,
-                                  const std::vector<xml::TagId>& tags,
-                                  int target, RunCtx* ctx) const {
-  const std::vector<CandList>* join = PathJoin(q, tags, ctx);
-  if (join == nullptr) return 0;
-  return NodeSelectivity(q, tags, *join, target, ctx);
-}
-
-double Estimator::NodeSelectivity(const Query& q,
-                                  const std::vector<xml::TagId>& tags,
-                                  const std::vector<CandList>& join, int node,
+double Estimator::EstimateNoOrder(const NodeMask& mask, int target,
                                   RunCtx* ctx) const {
-  if (ctx->CheckCoarse()) return 0;
-  const std::vector<int> spine = q.SpineOf(node);
+  const JoinLists* join = PathJoin(mask, ctx);
+  if (join == nullptr) return 0;
+  return NodeSelectivity(mask, *join, target, ctx);
+}
 
-  // Deepest spine node strictly above `node` with off-spine branches.
+double Estimator::NodeSelectivity(const NodeMask& mask, const JoinLists& join,
+                                  int node, RunCtx* ctx) const {
+  if (ctx->CheckCoarse()) return 0;
+  const Plan& plan = *ctx->plan;
+
+  // Deepest node strictly above `node` (on its spine) with off-spine
+  // branches in the subquery.
   int ni = -1;
   int ni_spine_child = -1;
-  for (size_t i = 0; i + 1 < spine.size(); ++i) {
-    const int sn = spine[i];
-    const int next = spine[i + 1];
-    if (q.nodes[sn].children.size() > 1) {
-      ni = sn;
-      ni_spine_child = next;
+  for (int child = node, n = plan.nodes[node].parent; n != -1 && ni == -1;
+       child = n, n = plan.nodes[n].parent) {
+    int kids = 0;
+    for (int k : plan.Kids(n)) kids += mask.Has(k) ? 1 : 0;
+    if (kids > 1) {
+      ni = n;
+      ni_spine_child = child;
     }
   }
   // Trunk target (no branching strictly above): Theorem 4.1 — the joined
   // frequency sum is the selectivity.
-  if (ni == -1) return FreqSum(join[node]);
+  if (ni == -1) return join.FreqSum(node);
 
   // Branch target: Eq. 2. Q' drops the off-spine branches at ni; the
   // selectivity of ni itself is computed recursively (it is strictly
   // higher up, so this terminates).
-  std::vector<bool> keep(q.nodes.size(), true);
-  {
-    std::vector<bool> off(q.nodes.size(), false);
-    for (int child : q.nodes[ni].children) {
-      if (child != ni_spine_child) off[child] = true;
-    }
-    PropagateDown(q, &off);
-    for (size_t i = 0; i < q.nodes.size(); ++i) keep[i] = !off[i];
+  NodeMask qp = mask;
+  for (int k : plan.Kids(ni)) {
+    if (k != ni_spine_child) qp.RemoveSubtree(plan, k);
   }
-
-  std::vector<int> map;
-  Query qp = q.SubQuery(keep, &map);
-  qp.orders.clear();
-  qp.target = map[node];
-  XEE_CHECK(map[node] >= 0 && map[ni] >= 0);
-
-  const std::vector<xml::TagId> tags_p = SubTags(tags, map, qp);
-  const std::vector<CandList>* join_p = PathJoin(qp, tags_p, ctx);
+  const JoinLists* join_p = PathJoin(qp, ctx);
   if (join_p == nullptr) return 0;
 
-  const double s_q_ni = NodeSelectivity(q, tags, join, ni, ctx);
-  const double s_qp_ni = NodeSelectivity(qp, tags_p, *join_p, map[ni], ctx);
-  const double s_qp_n = NodeSelectivity(qp, tags_p, *join_p, map[node], ctx);
+  const double s_q_ni = NodeSelectivity(mask, join, ni, ctx);
+  const double s_qp_ni = NodeSelectivity(qp, *join_p, ni, ctx);
+  const double s_qp_n = NodeSelectivity(qp, *join_p, node, ctx);
   if (s_qp_ni <= 0) return 0;
   return s_qp_n * s_q_ni / s_qp_ni;
 }
 
-double Estimator::OrderCellSum(const Query& q_prime,
-                               const std::vector<xml::TagId>& tags,
-                               int x_in_prime, xml::TagId other_tag,
-                               bool x_is_after, RunCtx* ctx) const {
+double Estimator::OrderCellSum(const NodeMask& q_prime, int x,
+                               xml::TagId other_tag, bool x_is_after,
+                               RunCtx* ctx) const {
   if (ctx->CheckCoarse()) return 0;
-  const std::vector<CandList>* join = PathJoin(q_prime, tags, ctx);
+  const JoinLists* join = PathJoin(q_prime, ctx);
   if (join == nullptr) return 0;
 
-  const histogram::OHistogram& oh = syn_.OHisto(tags[x_in_prime]);
+  const histogram::OHistogram& oh = syn_.OHisto(ctx->plan->nodes[x].tag);
   const stats::OrderRegion region =
       x_is_after ? stats::OrderRegion::kAfter : stats::OrderRegion::kBefore;
-  double sum = 0;
-  for (const Cand& c : (*join)[x_in_prime]) {
-    sum += oh.Get(region, other_tag, c.pid);
-  }
-  return sum;
+  const std::span<const Cand> cands = join->List(x);
+  return oh.RowSum(region, other_tag, cands.begin(), cands.end(),
+                   [](const Cand& c) { return c.pid; });
 }
 
-double Estimator::EstimateSiblingOrder(const Query& q,
-                                       const std::vector<xml::TagId>& tags,
+double Estimator::EstimateSiblingOrder(const NodeMask& mask,
+                                       const OrderConstraint& c, int target,
                                        RunCtx* ctx) const {
-  const OrderConstraint& c = q.orders[0];
+  const Plan& plan = *ctx->plan;
   const int a = c.before;
   const int b = c.after;
 
@@ -609,130 +711,195 @@ double Estimator::EstimateSiblingOrder(const Query& q,
     Side side;
     if (ctx->CheckCoarse()) return side;
     // Q': truncate the other endpoint's branch to its head node.
-    std::vector<bool> keep(q.nodes.size(), true);
-    {
-      std::vector<bool> off(q.nodes.size(), false);
-      for (int child : q.nodes[other].children) off[child] = true;
-      PropagateDown(q, &off);
-      for (size_t i = 0; i < q.nodes.size(); ++i) keep[i] = !off[i];
-    }
-    std::vector<int> map;
-    const Query qp = q.SubQuery(keep, &map);
-    XEE_CHECK(map[x] >= 0);
-    const std::vector<xml::TagId> tags_p = SubTags(tags, map, qp);
-    side.s_oh = OrderCellSum(qp, tags_p, map[x], tags[other], x_is_after, ctx);
-    side.s_qp = EstimateNoOrder(qp, tags_p, map[x], ctx);
-    const double s_q_x = EstimateNoOrder(q, tags, x, ctx);
+    NodeMask qp = mask;
+    for (int k : plan.Kids(other)) qp.RemoveSubtree(plan, k);
+    side.s_oh = OrderCellSum(qp, x, plan.nodes[other].tag, x_is_after, ctx);
+    side.s_qp = EstimateNoOrder(qp, x, ctx);
+    const double s_q_x = EstimateNoOrder(mask, x, ctx);
     side.s_arrow = side.s_qp > 0 ? side.s_oh * s_q_x / side.s_qp : 0;
     return side;
   };
 
-  const int t = q.target;
+  const int t = target;
   if (t == b) return eval_side(b, a, /*x_is_after=*/true).s_arrow;
   if (t == a) return eval_side(a, b, /*x_is_after=*/false).s_arrow;
 
-  if (IsQueryDescendant(q, b, t)) {
+  if (plan.IsDescendant(b, t)) {
     // Eq. 4: scale the no-order estimate by the order ratio of b.
     const Side side = eval_side(b, a, /*x_is_after=*/true);
-    const double s_q_t = EstimateNoOrder(q, tags, t, ctx);
+    const double s_q_t = EstimateNoOrder(mask, t, ctx);
     return side.s_qp > 0 ? s_q_t * side.s_oh / side.s_qp : 0;
   }
-  if (IsQueryDescendant(q, a, t)) {
+  if (plan.IsDescendant(a, t)) {
     const Side side = eval_side(a, b, /*x_is_after=*/false);
-    const double s_q_t = EstimateNoOrder(q, tags, t, ctx);
+    const double s_q_t = EstimateNoOrder(mask, t, ctx);
     return side.s_qp > 0 ? s_q_t * side.s_oh / side.s_qp : 0;
   }
 
   // Trunk target: Eq. 5.
   const Side sa = eval_side(a, b, /*x_is_after=*/false);
   const Side sb = eval_side(b, a, /*x_is_after=*/true);
-  const double s_q_t = EstimateNoOrder(q, tags, t, ctx);
+  const double s_q_t = EstimateNoOrder(mask, t, ctx);
   return std::min(s_q_t, std::min(sa.s_arrow, sb.s_arrow));
 }
 
-Result<double> Estimator::EstimateDocOrder(const Query& q,
-                                           const std::vector<xml::TagId>& tags,
+Result<double> Estimator::EstimateDocOrder(const OrderConstraint& c,
                                            RunCtx* ctx) const {
-  const OrderConstraint& c = q.orders[0];
+  Plan& plan = *ctx->plan;
+  const int target = plan.query->target;
+  const NodeMask base = NodeMask::FirstN(plan.base);
   // The rewrite targets the endpoint attached via the descendant axis
   // (created by a following::/preceding:: step). If both endpoints are
   // child-attached, the document-order constraint between siblings is
   // the sibling constraint.
   int d;
-  if (q.nodes[c.after].axis == StructAxis::kDescendant) {
+  if (plan.nodes[c.after].axis == StructAxis::kDescendant) {
     d = c.after;
-  } else if (q.nodes[c.before].axis == StructAxis::kDescendant) {
+  } else if (plan.nodes[c.before].axis == StructAxis::kDescendant) {
     d = c.before;
   } else {
-    Query sib = q;
-    sib.orders[0].kind = OrderKind::kSibling;
-    return EstimateSiblingOrder(sib, tags, ctx);
+    OrderConstraint sib = c;
+    sib.kind = OrderKind::kSibling;
+    return EstimateSiblingOrder(base, sib, target, ctx);
   }
   const int ctx_node = d == c.after ? c.before : c.after;
-  const int junction = q.nodes[d].parent;
+  const int junction = plan.nodes[d].parent;
   XEE_CHECK(junction >= 0);
-  if (q.nodes[ctx_node].axis != StructAxis::kChild) {
+  if (plan.nodes[ctx_node].axis != StructAxis::kChild) {
     return Status(StatusCode::kUnsupported,
                   "document-order context step must be child-attached");
   }
 
-  const std::vector<CandList>* join = PathJoin(q, tags, ctx);
+  const JoinLists* join = PathJoin(base, ctx);
   if (join == nullptr) return 0.0;
 
   // Decode the surviving pids of d into tag chains below the junction
-  // (Example 5.3).
-  std::set<encoding::TagPath> chains;
-  for (const Cand& cand : (*join)[d]) {
+  // (Example 5.3): every run of a path from just below an occurrence of
+  // the junction's tag to a later occurrence of d's tag. The chains go
+  // into a trie under the junction whose children stay sorted by tag,
+  // so its preorder lists each distinct chain once, in lexicographic
+  // order.
+  struct TrieNode {
+    xml::TagId tag;
+    int parent;
+    int first_child = -1;
+    int next_sibling = -1;
+    bool chain_end = false;
+  };
+  std::vector<TrieNode> trie(1, TrieNode{encoding::kWildcardTag, -1});
+  const xml::TagId above = plan.nodes[junction].tag;
+  const xml::TagId below = plan.nodes[d].tag;
+  for (const Cand& cand : join->List(d)) {
     syn_.PidBits(cand.pid).ForEachSetBit([&](size_t enc) {
-      for (encoding::TagPath& chain : syn_.table().ChainsBelow(
-               static_cast<uint32_t>(enc), tags[junction], tags[d])) {
-        chains.insert(std::move(chain));
+      const encoding::TagPath& p =
+          syn_.table().Path(static_cast<uint32_t>(enc));
+      size_t last = p.size();  // the last occurrence of d's tag
+      while (last > 0 && p[last - 1] != below) --last;
+      for (size_t i = 0; i + 1 < last; ++i) {
+        if (p[i] != above) continue;
+        int at = 0;
+        for (size_t j = i + 1; j < last; ++j) {
+          // Descend to (or insert, in tag order) the child for p[j].
+          int link = trie[at].first_child;
+          int prev = -1;
+          while (link != -1 && trie[link].tag < p[j]) {
+            prev = link;
+            link = trie[link].next_sibling;
+          }
+          if (link == -1 || trie[link].tag != p[j]) {
+            const int fresh = static_cast<int>(trie.size());
+            trie.push_back(TrieNode{p[j], at});
+            trie[fresh].next_sibling = link;
+            (prev == -1 ? trie[at].first_child : trie[prev].next_sibling) =
+                fresh;
+            link = fresh;
+          }
+          at = link;
+          if (p[j] == below) trie[at].chain_end = true;
+        }
       }
     });
   }
-  if (chains.empty()) return 0.0;
 
-  const bool target_in_d = q.target == d || IsQueryDescendant(q, d, q.target);
-  double total = 0;
-  for (const encoding::TagPath& chain : chains) {
-    if (ctx->CheckCoarse()) break;
-    // Rebuild the query with d replaced by an explicit child chain and a
-    // sibling constraint between the context step and the chain head.
-    Query rw;
-    std::vector<xml::TagId> rw_tags;
-    rw.root_mode = q.root_mode;
-    std::vector<int> map(q.nodes.size(), -1);
-    int head = -1;
-    for (size_t i = 0; i < q.nodes.size(); ++i) {
-      if (static_cast<int>(i) == d) {
-        int cur = map[junction];
-        for (size_t s = 0; s < chain.size(); ++s) {
-          cur = rw.AddNode(syn_.TagName(chain[s]), StructAxis::kChild, cur);
-          rw_tags.push_back(chain[s]);
-          if (s == 0) head = cur;
-        }
-        map[i] = cur;
-      } else {
-        const auto& n = q.nodes[i];
-        map[i] = rw.AddNode(n.tag, n.axis,
-                            n.parent == -1 ? -1 : map[n.parent]);
-        rw_tags.push_back(tags[i]);
-      }
+  // Append the chains to the plan in trie preorder, and under each
+  // chain's end a copy of d's subtree (d's strict descendants, which
+  // the rewrite hangs below the chain's last step in d's place).
+  std::vector<int> desc;  // d's strict descendants, ascending
+  std::vector<int> copy_slot(plan.base, -1);
+  for (int i = d + 1; i < static_cast<int>(plan.base); ++i) {
+    const int p = plan.nodes[i].parent;
+    if (p == d || (p > d && copy_slot[p] >= 0)) {
+      copy_slot[i] = static_cast<int>(desc.size());
+      desc.push_back(i);
     }
+  }
+  struct Chain {
+    int end;     // plan node of the chain's last step (d's stand-in)
+    int copies;  // plan node of the copy of desc[0]
+  };
+  std::vector<Chain> chains;
+  std::vector<int> plan_of(trie.size(), -1);
+  plan_of[0] = junction;
+  std::vector<int> stack;
+  for (int k = trie[0].first_child; k != -1; k = trie[k].next_sibling) {
+    stack.push_back(k);
+  }
+  std::reverse(stack.begin(), stack.end());
+  while (!stack.empty()) {
+    const int t = stack.back();
+    stack.pop_back();
+    // Preorder: the parent's plan node is already set.
+    plan_of[t] = plan.AddNode(trie[t].tag, plan_of[trie[t].parent],
+                              StructAxis::kChild);
+    if (trie[t].chain_end) {
+      const int copies = static_cast<int>(plan.size());
+      for (int i : desc) {
+        const int p = plan.nodes[i].parent;
+        plan.AddNode(plan.nodes[i].tag,
+                     p == d ? plan_of[t] : copies + copy_slot[p],
+                     plan.nodes[i].axis);
+      }
+      chains.push_back(Chain{plan_of[t], copies});
+    }
+    const size_t mark = stack.size();
+    for (int k = trie[t].first_child; k != -1; k = trie[k].next_sibling) {
+      stack.push_back(k);
+    }
+    std::reverse(stack.begin() + static_cast<ptrdiff_t>(mark), stack.end());
+  }
+  if (chains.empty()) return 0.0;
+  plan.IndexChildren();
+
+  const bool target_in_d = target == d || plan.IsDescendant(d, target);
+  NodeMask rest = base;
+  rest.RemoveSubtree(plan, d);
+  double total = 0;
+  for (const Chain& chain : chains) {
+    if (ctx->CheckCoarse()) break;
+    // The query with d replaced by the explicit child chain, and a
+    // sibling constraint between the context step and the chain head.
+    NodeMask rw = rest;
+    int head = chain.end;
+    for (int n = chain.end; n != junction; n = plan.nodes[n].parent) {
+      rw.Add(n);
+      head = n;
+    }
+    for (size_t k = 0; k < desc.size(); ++k) rw.Add(chain.copies + k);
     OrderConstraint sc;
     sc.kind = OrderKind::kSibling;
-    sc.before = d == c.after ? map[ctx_node] : head;
-    sc.after = d == c.after ? head : map[ctx_node];
-    rw.orders.push_back(sc);
-    rw.target = map[q.target];
-    XEE_CHECK(rw.target >= 0);
-    total += EstimateSiblingOrder(rw, rw_tags, ctx);
+    sc.before = d == c.after ? ctx_node : head;
+    sc.after = d == c.after ? head : ctx_node;
+    const int rw_target = target == d        ? chain.end
+                          : copy_slot[target] >= 0
+                              ? chain.copies + copy_slot[target]
+                              : target;
+    total += EstimateSiblingOrder(rw, sc, rw_target, ctx);
   }
 
   if (target_in_d) return total;
   // Target elsewhere: the chains partition d's possibilities, so the sum
   // bounds the union; clamp by the no-order estimate.
-  return std::min(EstimateNoOrder(q, tags, q.target, ctx), total);
+  return std::min(EstimateNoOrder(base, target, ctx), total);
 }
 
 }  // namespace xee::estimator

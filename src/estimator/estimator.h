@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -48,16 +49,6 @@ struct EstimateLimits {
 /// concurrent estimation.
 class Estimator {
  public:
-  /// One surviving candidate: the element tag it stands for (equal to
-  /// the query node's tag except under "*" name tests, where one list
-  /// mixes tags), its path id, and its summarized frequency.
-  struct Cand {
-    xml::TagId tag;
-    encoding::PidRef pid;
-    double freq;
-  };
-  using CandList = std::vector<Cand>;
-
   /// The synopsis must outlive the estimator.
   explicit Estimator(const Synopsis& synopsis) : syn_(synopsis) {}
   /// Binding a temporary synopsis would dangle.
@@ -66,8 +57,9 @@ class Estimator {
   /// Estimates the selectivity (result cardinality) of `query.target`.
   /// With a finite `limits.deadline`, returns kDeadlineExceeded instead
   /// of an estimate once the deadline passes mid-computation. Each call
-  /// runs with its own join memo: the formula walk's subqueries (Q', Q_x,
-  /// Q_t of Eqs. 2-5) share one join per distinct structure.
+  /// resolves the query once into its own plan and runs with its own
+  /// join memo: the formula walk's subqueries (Q', Q_x, Q_t of Eqs. 2-5)
+  /// are node masks over the plan and share one join per distinct mask.
   Result<double> Estimate(const xpath::Query& query,
                           const EstimateLimits& limits = {}) const;
 
@@ -98,14 +90,34 @@ class Estimator {
   void set_join_to_fixpoint(bool v) { join_to_fixpoint_ = v; }
 
  private:
+  /// One surviving candidate: the element tag it stands for (equal to
+  /// the query node's tag except under "*" name tests, where one list
+  /// mixes tags), its path id, and its summarized frequency.
+  struct Cand {
+    xml::TagId tag;
+    encoding::PidRef pid;
+    double freq;
+  };
+
+  /// The request's query resolved once at entry into a flat plan:
+  /// per-node tag id, parent and axis, children as index ranges in one
+  /// array, no strings. Every subquery the formulas derive (Q', Q_x,
+  /// Q_t, the order-free base) is a NodeMask over it; the document-order
+  /// rewrite appends its chain nodes to it. Defined in the .cc.
+  struct Plan;
+  /// A set of plan nodes, one bit per node; defined in the .cc.
+  class NodeMask;
+  /// One join's survivor lists, back to back; defined in the .cc.
+  struct JoinLists;
+
   /// Call-scoped memo of PathJoin results, defined in the .cc. The
   /// formula walk for branch and order queries re-joins overlapping
   /// truncated subqueries (Q', Q_x, Q_t share most of their edges);
   /// within one Estimate call a join is a pure function of the
-  /// subquery's structure — root mode, then (parent, axis, resolved tag
-  /// id) per node — so the memo keys on exactly that flat tuple and
-  /// collapses the duplicates. Entries live in a deque: NodeSelectivity
-  /// holds survivor-list references across nested PathJoin calls, and
+  /// subquery's node mask over the call's plan (whose root mode and tags
+  /// are fixed), so the memo keys on the mask and collapses the
+  /// duplicates. Entries live in a deque: NodeSelectivity holds
+  /// survivor-list references across nested PathJoin calls, and
   /// appending must not move them.
   struct JoinMemo;
 
@@ -116,7 +128,8 @@ class Estimator {
   struct RunCtx {
     Deadline deadline;
     bool expired = false;
-    /// The call's join memo (never null).
+    /// The call's plan and join memo (never null).
+    Plan* plan = nullptr;
     JoinMemo* join_memo = nullptr;
     /// Time the joins into `join_ns` (EstimateLimits::timed).
     bool timed = false;
@@ -134,12 +147,11 @@ class Estimator {
     bool CheckCoarse();
   };
 
-  /// Estimate's body over a validated query whose tag ids `tags` (one
-  /// per node) are resolved; `ctx` carries the deadline and the join
-  /// memo (never null).
-  Result<double> EstimateImpl(const xpath::Query& query,
-                              const std::vector<xml::TagId>& tags,
-                              RunCtx* ctx) const;
+  /// Estimate's body over ctx's plan under the constraints `orders`
+  /// (endpoints are plan nodes), scaling by the value predicates when
+  /// `filters` is set.
+  Result<double> EstimateImpl(std::span<const xpath::OrderConstraint> orders,
+                              bool filters, RunCtx* ctx) const;
 
   /// Drains ctx's work counters into the member atomic, the global obs
   /// registry, and `limits.trace` (when set). Called exactly once per
@@ -147,63 +159,50 @@ class Estimator {
   /// checks, on every exit path after them.
   void FlushCounters(const RunCtx& ctx, const EstimateLimits& limits) const;
 
-  /// Resolves each node's tag to its id (kWildcardTag for "*") into
-  /// `tags`. Returns false when some tag does not occur in the document.
-  /// Estimate resolves once per call; subqueries carry the ids over
-  /// through their node maps.
-  bool ResolveTags(const xpath::Query& q, std::vector<xml::TagId>* tags) const;
+  /// Resolves `q` into `plan`: each node's tag to its id (kWildcardTag
+  /// for "*"), its parent, axis and children. Returns false when some
+  /// tag does not occur in the document.
+  bool ResolvePlan(const xpath::Query& q, Plan* plan) const;
 
-  /// Runs the path-id join of Section 4 through ctx->join_memo and
-  /// returns the per-node survivor lists, owned by the memo. Returns
-  /// null when some node's candidate list becomes empty (estimate 0) or
-  /// the deadline expires.
-  const std::vector<CandList>* PathJoin(const xpath::Query& q,
-                                        const std::vector<xml::TagId>& tags,
-                                        RunCtx* ctx) const;
+  /// Runs the path-id join of Section 4 on the subquery `mask` through
+  /// ctx->join_memo and returns its survivor lists, owned by the memo.
+  /// Returns null when some node's candidate list becomes empty
+  /// (estimate 0) or the deadline expires.
+  const JoinLists* PathJoin(const NodeMask& mask, RunCtx* ctx) const;
 
   /// The uncached join body behind PathJoin's memo check: candidate
   /// lists from the p-histograms' buckets, then the semi-join reduction
   /// under the configured schedule.
-  bool PathJoinImpl(const xpath::Query& q, const std::vector<xml::TagId>& tags,
-                    std::vector<CandList>* cands, RunCtx* ctx) const;
+  bool PathJoinImpl(const NodeMask& mask, JoinLists* lists,
+                    RunCtx* ctx) const;
 
-  static double FreqSum(const CandList& l);
+  /// Selectivity of node `target` of the subquery `mask`, ignoring order
+  /// constraints (Theorem 4.1 + Eq. 2 generalized to arbitrary branch
+  /// trees, see DESIGN.md §2).
+  double EstimateNoOrder(const NodeMask& mask, int target, RunCtx* ctx) const;
 
-  /// Selectivity of node `target` of `q` ignoring q's order constraints
-  /// and target (Theorem 4.1 + Eq. 2 generalized to arbitrary branch
-  /// trees, see DESIGN.md §2). Neither the join nor the formulas read
-  /// them, so callers pass the query they hold, with no retargeted or
-  /// order-free copy.
-  double EstimateNoOrder(const xpath::Query& q,
-                         const std::vector<xml::TagId>& tags, int target,
+  /// Recursive branch-part estimation given a completed join on `mask`.
+  double NodeSelectivity(const NodeMask& mask, const JoinLists& join, int node,
                          RunCtx* ctx) const;
 
-  /// Recursive branch-part estimation given a completed join on `q`.
-  double NodeSelectivity(const xpath::Query& q,
-                         const std::vector<xml::TagId>& tags,
-                         const std::vector<CandList>& join, int node,
-                         RunCtx* ctx) const;
-
-  /// Queries with exactly one sibling-order constraint (Eqs. 3-5).
-  double EstimateSiblingOrder(const xpath::Query& q,
-                              const std::vector<xml::TagId>& tags,
+  /// The subquery `mask` under exactly one sibling-order constraint `c`,
+  /// estimated at `target` (Eqs. 3-5).
+  double EstimateSiblingOrder(const NodeMask& mask,
+                              const xpath::OrderConstraint& c, int target,
                               RunCtx* ctx) const;
 
-  /// Queries with one document-order constraint: rewrite into
-  /// sibling-order queries via the encoding table (Section 5,
-  /// Example 5.3) and combine.
-  Result<double> EstimateDocOrder(const xpath::Query& q,
-                                  const std::vector<xml::TagId>& tags,
+  /// The query under one document-order constraint `c`: rewrite into
+  /// sibling-order queries via the encoding table (Section 5, Example
+  /// 5.3) and combine.
+  Result<double> EstimateDocOrder(const xpath::OrderConstraint& c,
                                   RunCtx* ctx) const;
 
   /// The o-histogram-backed selectivity S_arrowQ'(x) of a sibling
   /// endpoint x: sum of order cells over x's pids surviving the join on
-  /// q_prime (x's branch kept whole, the other branch truncated), whose
-  /// tag ids are `tags`; `other_tag` is the other endpoint's tag.
-  double OrderCellSum(const xpath::Query& q_prime,
-                      const std::vector<xml::TagId>& tags, int x_in_prime,
-                      xml::TagId other_tag, bool x_is_after,
-                      RunCtx* ctx) const;
+  /// q_prime (x's branch kept whole, the other branch truncated);
+  /// `other_tag` is the other endpoint's tag.
+  double OrderCellSum(const NodeMask& q_prime, int x, xml::TagId other_tag,
+                      bool x_is_after, RunCtx* ctx) const;
 
   const Synopsis& syn_;
   bool join_to_fixpoint_ = false;

@@ -35,9 +35,7 @@ OHistogram OHistogram::Build(const stats::PathOrderTable& table,
   XEE_CHECK(variance_threshold >= 0);
   OHistogram h;
   h.row_of_tag_ = row_of_tag;
-  for (uint32_t c = 0; c < col_order.size(); ++c) {
-    h.col_of_.emplace(col_order[c], c);
-  }
+  h.IndexColumns(col_order);
   if (table.rows().empty() || col_order.empty()) return h;
 
   const size_t tag_count = row_of_tag.size();
@@ -53,11 +51,11 @@ OHistogram OHistogram::Build(const stats::PathOrderTable& table,
     size_t row = (key.region == stats::OrderRegion::kAfter ? tag_count : 0) +
                  row_of_tag[key.other_tag];
     for (const auto& [pid, count] : cells) {
-      auto col = h.col_of_.find(pid);
-      XEE_CHECK_MSG(col != h.col_of_.end(),
+      const uint32_t col = h.Column(pid);
+      XEE_CHECK_MSG(col != kNoColumn,
                     "path-order pid missing from p-histogram column order");
-      grid[row][col->second] = static_cast<double>(count);
-      nonempty[row][col->second] = true;
+      grid[row][col] = static_cast<double>(count);
+      nonempty[row][col] = true;
     }
   }
 
@@ -125,11 +123,22 @@ OHistogram OHistogram::FromBuckets(
   OHistogram h;
   h.buckets_ = std::move(buckets);
   h.row_of_tag_ = row_of_tag;
-  for (uint32_t c = 0; c < col_order.size(); ++c) {
-    h.col_of_.emplace(col_order[c], c);
-  }
+  h.IndexColumns(col_order);
   h.BuildRowIndex();
   return h;
+}
+
+void OHistogram::IndexColumns(const std::vector<encoding::PidRef>& col_order) {
+  col_of_.clear();
+  pid_base_ = 0;
+  if (col_order.empty()) return;
+  const auto [lo, hi] = std::minmax_element(col_order.begin(), col_order.end());
+  pid_base_ = *lo;
+  col_of_.assign(static_cast<size_t>(*hi - *lo) + 1, kNoColumn);
+  for (uint32_t c = 0; c < col_order.size(); ++c) {
+    uint32_t& slot = col_of_[col_order[c] - pid_base_];
+    if (slot == kNoColumn) slot = c;  // first occurrence, as emplace kept
+  }
 }
 
 void OHistogram::BuildRowIndex() {
@@ -169,21 +178,14 @@ void OHistogram::BuildRowIndex() {
 
 double OHistogram::Get(stats::OrderRegion region, xml::TagId other,
                        encoding::PidRef pid) const {
-  if (other >= row_of_tag_.size()) return 0;
-  auto col_it = col_of_.find(pid);
-  if (col_it == col_of_.end()) return 0;
-  const uint32_t col = col_it->second;
-  const uint32_t row =
-      (region == stats::OrderRegion::kAfter
-           ? static_cast<uint32_t>(row_of_tag_.size())
-           : 0) +
-      row_of_tag_[other];
-  if (row >= row_index_.size()) return 0;
-  const std::vector<RowSpan>& spans = row_index_[row];
+  const uint32_t col = Column(pid);
+  if (col == kNoColumn) return 0;
+  const std::vector<RowSpan>* spans = Row(region, other);
+  if (spans == nullptr) return 0;
   auto it = std::upper_bound(
-      spans.begin(), spans.end(), col,
+      spans->begin(), spans->end(), col,
       [](uint32_t c, const RowSpan& s) { return c < s.x1; });
-  if (it == spans.begin()) return 0;
+  if (it == spans->begin()) return 0;
   --it;
   return col <= it->x2 ? it->avg_freq : 0;
 }

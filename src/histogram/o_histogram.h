@@ -2,7 +2,6 @@
 #define XEE_HISTOGRAM_O_HISTOGRAM_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "stats/path_order.h"
@@ -52,6 +51,33 @@ class OHistogram {
   double Get(stats::OrderRegion region, xml::TagId other,
              encoding::PidRef pid) const;
 
+  /// The sum, in order, of Get(region, other, pid_of(*it)) over
+  /// [first, last) — bit for bit, since the same cells are added in the
+  /// same order — read in one walk along the row's spans while the
+  /// columns ascend (a candidate list in p-histogram order always does;
+  /// a descending step restarts the walk).
+  template <typename It, typename PidOf>
+  double RowSum(stats::OrderRegion region, xml::TagId other, It first,
+                It last, PidOf pid_of) const {
+    const std::vector<RowSpan>* spans = Row(region, other);
+    if (spans == nullptr) return 0;
+    double sum = 0;
+    auto span = spans->begin();
+    uint32_t prev = 0;
+    for (; first != last; ++first) {
+      const uint32_t col = Column(pid_of(*first));
+      double v = 0;
+      if (col != kNoColumn) {
+        if (col < prev) span = spans->begin();
+        prev = col;
+        while (span != spans->end() && span->x2 < col) ++span;
+        if (span != spans->end() && span->x1 <= col) v = span->avg_freq;
+      }
+      sum += v;
+    }
+    return sum;
+  }
+
   const std::vector<Bucket>& buckets() const { return buckets_; }
   size_t BucketCount() const { return buckets_.size(); }
 
@@ -66,15 +92,39 @@ class OHistogram {
     double avg_freq;
   };
 
+  static constexpr uint32_t kNoColumn = UINT32_MAX;
+
   /// Expands `buckets_` into per-row sorted disjoint column spans so Get
   /// binary-searches one row instead of scanning every bucket. Earlier
   /// buckets win where boxes overlap (only possible on adversarial
   /// deserialized bucket lists), matching the first-match linear scan.
   void BuildRowIndex();
+  /// Fills the pid -> column map from the tag's column order.
+  void IndexColumns(const std::vector<encoding::PidRef>& col_order);
+
+  /// Column of `pid`, or kNoColumn when the tag has no such pid.
+  uint32_t Column(encoding::PidRef pid) const {
+    const uint64_t at = uint64_t{pid} - pid_base_;
+    return pid < pid_base_ || at >= col_of_.size()
+               ? kNoColumn
+               : col_of_[static_cast<size_t>(at)];
+  }
+  /// The spans of the (region, other) row, or null when it has none.
+  const std::vector<RowSpan>* Row(stats::OrderRegion region,
+                                  xml::TagId other) const {
+    if (other >= row_of_tag_.size()) return nullptr;
+    const size_t row =
+        (region == stats::OrderRegion::kAfter ? row_of_tag_.size() : 0) +
+        row_of_tag_[other];
+    return row < row_index_.size() ? &row_index_[row] : nullptr;
+  }
 
   std::vector<Bucket> buckets_;
   std::vector<uint32_t> row_of_tag_;  // alphabetic rank per TagId
-  std::unordered_map<encoding::PidRef, uint32_t> col_of_;
+  /// Dense pid -> column map over the tag's pid range: col_of_[pid -
+  /// pid_base_] (kNoColumn for pids of other tags).
+  std::vector<uint32_t> col_of_;
+  encoding::PidRef pid_base_ = 0;
   std::vector<std::vector<RowSpan>> row_index_;  // size 2 * row_of_tag_.size()
 };
 

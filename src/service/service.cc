@@ -343,7 +343,7 @@ Result<ApplyOutcome> EstimationService::ApplyDelta(
 }
 
 std::string EstimationService::MakeKey(char kind, uint64_t epoch,
-                                       const std::string& body) {
+                                       std::string_view body) {
   std::string key;
   key.reserve(2 + 20 + body.size());
   AppendKeyPrefix(kind, epoch, &key);
@@ -360,15 +360,26 @@ size_t EstimationService::ExactKeyInto(uint64_t epoch, std::string_view xpath,
   return body_at;
 }
 
+size_t EstimationService::CanonicalKeyInto(uint64_t epoch,
+                                           const xpath::Query& canonical,
+                                           std::string* key) {
+  key->clear();
+  AppendKeyPrefix('c', epoch, key);
+  const size_t body_at = key->size();
+  xpath::AppendSerializedKey(canonical, key);
+  return body_at;
+}
+
 void EstimationService::CacheAnswer(
-    const std::string& key, const std::string& alias,
-    std::shared_ptr<const CachedAnswer> answer) {
+    const std::string& key, size_t hash, const std::string* alias,
+    size_t alias_hash, std::shared_ptr<const CachedAnswer> answer) {
   const size_t answer_bytes =
       sizeof(CachedAnswer) +
       (answer->estimate.ok() ? 0 : answer->estimate.status().message().size());
-  cache_.Put(key, answer, key.size() + answer_bytes + kEntryBytes);
-  if (!alias.empty()) {
-    cache_.Put(alias, std::move(answer), alias.size() + kEntryBytes);
+  cache_.Put(key, hash, answer, key.size() + answer_bytes + kEntryBytes);
+  if (alias != nullptr) {
+    cache_.Put(*alias, alias_hash, std::move(answer),
+               alias->size() + kEntryBytes);
   }
 }
 
@@ -455,7 +466,7 @@ bool EstimationService::ShouldTime(RequestLanes::Lane* lane) {
 }
 
 EstimateOutcome EstimationService::EstimateAdmitted(
-    const QueryRequest& req, const NameLookup* resolved) {
+    const QueryRequest& req, const NameLookup* resolved, uint64_t lookup_ns) {
   // Every per-request count and sampling tick below lands in this
   // thread's lane: a warm hit writes no line another thread writes.
   RequestLanes::Lane* const lane = stats_.lanes.Mine();
@@ -465,6 +476,7 @@ EstimateOutcome EstimationService::EstimateAdmitted(
   const bool timed = ShouldTime(lane);
   Clock::time_point t_request;
   if (timed) t_request = Clock::now();
+  const uint64_t batch_lookup_ns = resolved != nullptr ? lookup_ns : 0;
   stats_.lanes.Bump(lane, &RequestCounts::requests);
   // The per-tenant dimension keys on the synopsis name: a per-thread
   // memo answers the warm path, stable slot pointers after.
@@ -496,12 +508,18 @@ EstimateOutcome EstimationService::EstimateAdmitted(
 
     // Rung 1 — quarantine gate and snapshot acquire: a name whose last
     // load was rejected is deliberately out of service until a good
-    // version arrives. A batch member brings its batch's lookup; a
-    // single call reads the registry through this thread's cached view.
-    {
-      obs::ScopedStageTimer t(&spans, Stage::kSnapshot,
-                              stats_.StageHist(Stage::kSnapshot), timed);
-      if (resolved == nullptr) resolved = &registry_.Lookup(req.synopsis);
+    // version arrives. A batch member brings its batch's lookup (and the
+    // tenant's first member that lookup's time); a single call reads the
+    // registry through this thread's cached view.
+    if (resolved == nullptr) {
+      Clock::time_point start;
+      if (timed) start = Clock::now();
+      resolved = &registry_.Lookup(req.synopsis);
+      if (timed) lookup_ns = NsSince(start);
+    }
+    if (timed) {
+      spans.stage_ns[static_cast<size_t>(Stage::kSnapshot)] += lookup_ns;
+      stats_.StageHist(Stage::kSnapshot)->Record(lookup_ns);
     }
     if (resolved->quarantined.has_value()) {
       outcome_label = "quarantined";
@@ -543,13 +561,15 @@ EstimateOutcome EstimationService::EstimateAdmitted(
     // satisfy requests that accept them.
     thread_local std::string exact_key;
     const size_t body_at = ExactKeyInto(snap->epoch, req.xpath, &exact_key);
+    size_t exact_hash;  // carried to the alias Put on a miss
     {
       CachedAnswer hit;
       bool found;
       {
         obs::ScopedStageTimer t(&spans, Stage::kCacheLookup,
                                 stats_.StageHist(Stage::kCacheLookup), timed);
-        found = cache_.Copy(exact_key, &hit);
+        exact_hash = AnswerCache::HashOf(exact_key);
+        found = cache_.Copy(exact_key, exact_hash, &hit);
       }
       if (found && (!hit.degraded || req.allow_degraded)) {
         outcome_label = "exact-hit";
@@ -576,14 +596,19 @@ EstimateOutcome EstimationService::EstimateAdmitted(
         &spans, stats_.StageHist(Stage::kCanonicalize), Stage::kCanonicalize,
         timed);
     canonicalize_stage.Start();
-    const xpath::Query canonical = xpath::Canonicalize(parsed.value());
-    const std::string body = xpath::SerializeKey(canonical);
+    const xpath::Query canonical =
+        xpath::Canonicalize(std::move(parsed).value());
+    thread_local std::string canonical_key;
+    const size_t canonical_body_at =
+        CanonicalKeyInto(snap->epoch, canonical, &canonical_key);
     canonicalize_stage.Stop();
 
-    auto probe = [&](const std::string& key) {
+    // Hashes `key` into `*hash` and probes under it.
+    auto probe = [&](const std::string& key, size_t* hash) {
       obs::ScopedStageTimer t(&spans, Stage::kCacheLookup,
                               stats_.StageHist(Stage::kCacheLookup), timed);
-      return cache_.Get(key);
+      *hash = AnswerCache::HashOf(key);
+      return cache_.Get(key, *hash);
     };
     // A hit under a canonical ('c') or degraded ('d') key: another
     // spelling already computed — or pruned — this answer. `alias` also
@@ -595,7 +620,8 @@ EstimateOutcome EstimationService::EstimateAdmitted(
       if (hit->pruned) stats_.analyzer_pruned.Inc();
       EstimateOutcome o = hit->Outcome();
       if (alias) {
-        cache_.Put(exact_key, std::move(hit), exact_key.size() + kEntryBytes);
+        cache_.Put(exact_key, exact_hash, std::move(hit),
+                   exact_key.size() + kEntryBytes);
       }
       return o;
     };
@@ -606,9 +632,10 @@ EstimateOutcome EstimationService::EstimateAdmitted(
     // probe (and can never be pruned, see below).
     const bool wants_order = !canonical.orders.empty();
     const bool missing_order = wants_order && !snap->synopsis->has_order();
-    const std::string canonical_key = MakeKey('c', snap->epoch, body);
+    size_t canonical_hash = 0;
     if (!missing_order) {
-      if (std::shared_ptr<const CachedAnswer> hit = probe(canonical_key)) {
+      if (std::shared_ptr<const CachedAnswer> hit =
+              probe(canonical_key, &canonical_hash)) {
         return serve_hit(std::move(hit), /*alias=*/true);
       }
     }
@@ -635,7 +662,7 @@ EstimateOutcome EstimationService::EstimateAdmitted(
       stats_.analyzer_pruned.Inc();
       auto zero = std::make_shared<const CachedAnswer>(
           CachedAnswer{0.0, /*degraded=*/false, /*pruned=*/true});
-      CacheAnswer(canonical_key, exact_key, zero);
+      CacheAnswer(canonical_key, canonical_hash, &exact_key, exact_hash, zero);
       return zero->Outcome();
     }
 
@@ -663,7 +690,7 @@ EstimateOutcome EstimationService::EstimateAdmitted(
     // the exact request string; it is off only for a deadline-forced
     // degradation, so a later, slower request can still get the full
     // answer.
-    auto compute = [&](char kind, const std::string& key,
+    auto compute = [&](char kind, const std::string& key, size_t key_hash,
                        bool alias) -> EstimateOutcome {
       EstimateOutcome o;
       o.degraded = kind == 'd';
@@ -700,20 +727,25 @@ EstimateOutcome EstimationService::EstimateAdmitted(
       stats_.lanes.Bump(lane, &RequestCounts::misses);
       auto answer = std::make_shared<const CachedAnswer>(
           CachedAnswer{o.estimate, o.degraded, /*pruned=*/false});
-      CacheAnswer(key, alias ? exact_key : std::string(), std::move(answer));
+      CacheAnswer(key, key_hash, alias ? &exact_key : nullptr, exact_hash,
+                  std::move(answer));
       return o;
     };
     // The order-free answer, from the cache or computed.
     auto serve_degraded = [&](bool alias) -> EstimateOutcome {
-      const std::string key = MakeKey('d', snap->epoch, body);
-      if (std::shared_ptr<const CachedAnswer> hit = probe(key)) {
+      const std::string key =
+          MakeKey('d', snap->epoch,
+                  std::string_view(canonical_key).substr(canonical_body_at));
+      size_t key_hash;
+      if (std::shared_ptr<const CachedAnswer> hit = probe(key, &key_hash)) {
         return serve_hit(std::move(hit), alias);
       }
-      return compute('d', key, alias);
+      return compute('d', key, key_hash, alias);
     };
 
     if (missing_order) return serve_degraded(/*alias=*/true);
-    EstimateOutcome full = compute('c', canonical_key, /*alias=*/true);
+    EstimateOutcome full =
+        compute('c', canonical_key, canonical_hash, /*alias=*/true);
     // Rung 3 — deadline-forced fallback: the full computation did not
     // fit, but the (much cheaper) order-free one might still make it.
     if (full.estimate.status().code() == StatusCode::kDeadlineExceeded &&
@@ -769,7 +801,9 @@ EstimateOutcome EstimationService::EstimateAdmitted(
   }
   uint64_t total_ns = 0;
   if (timed) {
-    total_ns = NsSince(t_request);
+    // A batch's lookup ran on this request's behalf before its clock
+    // started: count it in the wall time as in the snapshot stage.
+    total_ns = NsSince(t_request) + batch_lookup_ns;
     stats_.request_ns.Record(total_ns);
     if (tenant) tenant.slots->request_ns->Record(total_ns);
     if (tail_class == nullptr && options_.tail_retention &&
@@ -1113,9 +1147,12 @@ std::vector<EstimateOutcome> EstimationService::EstimateBatch(
   // One registry lookup per (batch, tenant), on the caller: every member
   // of a tenant answers from the same version, so a concurrent swap can
   // never split one tenant's members across epochs, and the members
-  // themselves touch no registry state.
+  // themselves touch no registry state. Each lookup's time is charged
+  // to its tenant's first member in batch order (two clock reads per
+  // tenant), so the snapshot stage of a timed batch is not lost.
   std::vector<NameLookup> lookups;
   std::vector<uint32_t> lookup_of(admitted);
+  std::vector<uint64_t> lookup_ns(admitted, 0);
   {
     std::unordered_map<std::string_view, uint32_t> index;
     for (size_t i = 0; i < admitted; ++i) {
@@ -1126,12 +1163,17 @@ std::vector<EstimateOutcome> EstimationService::EstimateBatch(
       }
       const auto [it, fresh] =
           index.try_emplace(name, static_cast<uint32_t>(lookups.size()));
-      if (fresh) lookups.push_back(registry_.Lookup(name));
+      if (fresh) {
+        const Clock::time_point start = Clock::now();
+        lookups.push_back(registry_.Lookup(name));
+        lookup_ns[i] = NsSince(start);
+      }
       lookup_of[i] = it->second;
     }
   }
   auto run = [&](size_t i) {
-    results[i] = EstimateAdmitted(requests[i], &lookups[lookup_of[i]]);
+    results[i] =
+        EstimateAdmitted(requests[i], &lookups[lookup_of[i]], lookup_ns[i]);
   };
   if (admitted <= 1 || pool_.size() <= 1) {
     for (size_t i = 0; i < admitted; ++i) run(i);

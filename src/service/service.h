@@ -497,20 +497,30 @@ class EstimationService {
     }
   };
 
+  /// The answer cache: one per service, keyed by namespaced key
+  /// strings. A request hashes each key it builds once (AnswerCache::
+  /// HashOf) and carries that hash to every probe and Put of the key.
+  using AnswerCache = ShardedLru<std::string, CachedAnswer>;
+
   /// Namespaced cache key: kind ('x' exact string / 'c' canonical /
   /// 'd' degraded order-free), synopsis epoch, and the query body.
-  static std::string MakeKey(char kind, uint64_t epoch,
-                             const std::string& body);
+  static std::string MakeKey(char kind, uint64_t epoch, std::string_view body);
   /// The exact-string key of `xpath` (its whitespace-stripped bytes)
   /// built into `*key`, reusing its capacity; returns the offset of the
   /// stripped text within it.
   static size_t ExactKeyInto(uint64_t epoch, std::string_view xpath,
                              std::string* key);
+  /// The canonical ('c') key of the canonical query `canonical` built
+  /// into `*key`, reusing its capacity; returns the offset of the
+  /// serialized body within it.
+  static size_t CanonicalKeyInto(uint64_t epoch, const xpath::Query& canonical,
+                                 std::string* key);
 
-  /// Files `answer` under its canonical `key`, charged the answer, and
-  /// — when `alias` is non-empty — under that exact request key, charged
-  /// the key only.
-  void CacheAnswer(const std::string& key, const std::string& alias,
+  /// Files `answer` under its canonical `key` (whose hash is `hash`),
+  /// charged the answer, and — when `alias` is non-null — under that
+  /// exact request key (hash `alias_hash`), charged the key only.
+  void CacheAnswer(const std::string& key, size_t hash,
+                   const std::string* alias, size_t alias_hash,
                    std::shared_ptr<const CachedAnswer> answer);
 
   /// Reserves up to `want` in-flight slots; returns how many were
@@ -530,8 +540,12 @@ class EstimationService {
   /// The estimation ladder, run after admission. `resolved` is the
   /// registry's view of request.synopsis when the caller already holds
   /// one (a batch looks each tenant up once); null = look it up here.
+  /// `lookup_ns` is the time the caller spent on that lookup, charged to
+  /// the snapshot stage when this request is timed (a batch passes it to
+  /// each tenant's first member and 0 to the rest).
   EstimateOutcome EstimateAdmitted(const QueryRequest& request,
-                                   const NameLookup* resolved);
+                                   const NameLookup* resolved,
+                                   uint64_t lookup_ns = 0);
 
   /// Bumps one per-request count in the calling thread's lane.
   void Count(RequestLanes::Field field) {
@@ -575,7 +589,7 @@ class EstimationService {
   SynopsisRegistry registry_;
   /// The answer cache (DESIGN.md §7): epoch-scoped keys, so a synopsis
   /// swap retires every old entry without touching it.
-  ShardedLru<std::string, CachedAnswer> cache_;
+  AnswerCache cache_;
   obs::Registry obs_;  // must precede stats_/accuracy_ (handle resolution)
   ServiceStats stats_;
   obs::TraceRing traces_;

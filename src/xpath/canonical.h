@@ -31,17 +31,24 @@ std::string EscapeValueFilter(std::string_view value);
 /// signature (predicate order is semantically irrelevant in the tree
 /// pattern — order between branches is expressed only by explicit
 /// OrderConstraints, which are remapped), nodes are renumbered in
-/// preorder of the sorted tree, and the constraint list is sorted.
+/// preorder of the sorted tree, and the constraint list is sorted. The
+/// signatures are compared, never built (see canonical.cc).
 /// Semantically identical queries — however they were entered
 /// (redundant `child::`, permuted predicates, `{t}` on the default
 /// target) — canonicalize to equal queries. Idempotent.
 Query Canonicalize(const Query& q);
+/// Canonicalize consuming `q`: its nodes move to their canonical places
+/// instead of being copied.
+Query Canonicalize(Query&& q);
 
 /// Serializes a query into an unambiguous key string. Equal queries
 /// produce equal keys and distinct queries distinct keys; to make
 /// semantically equal queries collide on purpose, canonicalize first
 /// (CanonicalKey does both).
 std::string SerializeKey(const Query& q);
+/// SerializeKey appending to `*out`, so a caller can reuse one buffer
+/// across requests.
+void AppendSerializedKey(const Query& q, std::string* out);
 
 /// SerializeKey(Canonicalize(q)): the cache key under which all
 /// spellings of a query meet.

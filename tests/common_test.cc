@@ -372,6 +372,85 @@ TEST(ShardedLru, CustomHashKeyTypeWorksWithoutStdHash) {
   EXPECT_TRUE(lru.DebugCheckBalanced());
 }
 
+// A probe or Put that carries HashOf(key) is the same operation as the
+// string-keyed one: mixing the two forms over one cache always finds
+// what the other filed, and misses what the other never filed.
+TEST(ShardedLru, HashCarryingFormsFindWhatStringFormsFiled) {
+  using Lru = ShardedLru<std::string, int>;
+  std::mt19937_64 rng(0x4a5);
+  Lru lru(/*byte_budget=*/1 << 20, /*shards=*/8);
+  std::map<std::string, int> want;
+  for (int op = 0; op < 2000; ++op) {
+    const std::string key = "x" + std::to_string(rng() % 300) + ":/a/b";
+    const size_t hash = Lru::HashOf(key);
+    if (rng() % 2 == 0) {
+      if (rng() % 2 == 0) {
+        lru.Put(key, std::make_shared<const int>(op), 40);
+      } else {
+        lru.Put(key, hash, std::make_shared<const int>(op), 40);
+      }
+      want[key] = op;
+    }
+    const auto it = want.find(key);
+    const std::shared_ptr<const int> by_string = lru.Get(key);
+    const std::shared_ptr<const int> by_hash = lru.Get(key, hash);
+    int copied = -1;
+    const bool found = lru.Copy(key, hash, &copied);
+    ASSERT_EQ(by_string != nullptr, it != want.end()) << key;
+    ASSERT_EQ(by_hash != nullptr, it != want.end()) << key;
+    ASSERT_EQ(found, it != want.end()) << key;
+    if (found) {
+      EXPECT_EQ(*by_string, it->second);
+      EXPECT_EQ(*by_hash, it->second);
+      EXPECT_EQ(copied, it->second);
+    }
+  }
+  EXPECT_EQ(lru.stats().entries, want.size());
+  EXPECT_TRUE(lru.DebugCheckBalanced());
+}
+
+// Randomized insert / overwrite / evict over the hash-carrying forms,
+// with a hash that collides often (a handful of values for hundreds of
+// keys): the audit holds throughout — charged bytes balance, every entry
+// stores its HashOf and is what the map finds for it — and evicting by
+// the stored hash keeps the map and the ring the same size, so every
+// key the cache still counts is found and no other one is.
+TEST(ShardedLru, HashedInsertOverwriteEvictStaysBalanced) {
+  struct FewHashes {
+    size_t operator()(const std::string& s) const noexcept {
+      return std::hash<std::string>{}(s) % 7;
+    }
+  };
+  for (size_t shards : {size_t{1}, size_t{3}, size_t{8}}) {
+    using Lru = ShardedLru<std::string, int, FewHashes>;
+    Lru lru(/*byte_budget=*/6000, shards);
+    std::mt19937_64 rng(0xe71c + shards);
+    std::set<std::string> keys;
+    for (int op = 0; op < 6000; ++op) {
+      const std::string key = "k" + std::to_string(rng() % 400);
+      keys.insert(key);
+      const size_t hash = Lru::HashOf(key);
+      if (rng() % 4 == 0) {
+        (void)lru.Get(key, hash);
+      } else {
+        lru.Put(key, hash, std::make_shared<const int>(op),
+                1 + rng() % 700);
+      }
+      if (op % 101 == 0) {
+        ASSERT_TRUE(lru.DebugCheckBalanced()) << op;
+      }
+    }
+    ASSERT_TRUE(lru.DebugCheckBalanced());
+    EXPECT_GT(lru.stats().evictions, 0u);
+    size_t live = 0;
+    for (const std::string& key : keys) {
+      int v = 0;
+      live += lru.Copy(key, Lru::HashOf(key), &v) ? 1 : 0;
+    }
+    EXPECT_EQ(live, lru.stats().entries);
+  }
+}
+
 // --- ThreadPool -------------------------------------------------------
 
 TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {

@@ -237,6 +237,41 @@ TEST(ServiceTest, BatchMatchesSequentialBitForBit) {
   EXPECT_EQ(svc.Stats().batches, 1u);
 }
 
+// A batch looks each tenant up once, on the caller, before any member's
+// clock starts. That lookup's time lands in the snapshot stage of the
+// tenant's first member in batch order (and in its wall time, so stages
+// still sum within it); the other members did no lookup and show 0.
+TEST(ServiceTest, BatchChargesEachTenantLookupToItsFirstMember) {
+  EstimationService svc({.threads = 2, .trace_sample = 1});
+  svc.registry().Register("one", PaperSynopsis());
+  svc.registry().Register("two", PaperSynopsis());
+  const std::vector<QueryRequest> batch = {
+      {"one", "//A/B"}, {"one", "//A/C"},   {"two", "//A/B"},
+      {"one", "//A/B/D"}, {"two", "//A/C"},
+  };
+  const std::vector<EstimateOutcome> got = svc.EstimateBatch(batch);
+  ASSERT_EQ(got.size(), batch.size());
+  const std::vector<obs::TraceRecord> traces = svc.traces().Recent();
+  ASSERT_EQ(traces.size(), batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const obs::TraceRecord* rec = nullptr;
+    for (const obs::TraceRecord& t : traces) {
+      if (t.synopsis == batch[i].synopsis && t.query == batch[i].xpath) {
+        rec = &t;
+      }
+    }
+    ASSERT_NE(rec, nullptr) << i;
+    const uint64_t snapshot_ns =
+        rec->spans.stage_ns[static_cast<size_t>(obs::Stage::kSnapshot)];
+    if (i == 0 || i == 2) {
+      EXPECT_GT(snapshot_ns, 0u) << "first member of " << batch[i].synopsis;
+    } else {
+      EXPECT_EQ(snapshot_ns, 0u) << i;
+    }
+    EXPECT_LE(rec->spans.SumNs(), rec->total_ns) << i;
+  }
+}
+
 TEST(ServiceTest, ConcurrentHammerMatchesSingleThreadedRuns) {
   // 8 client threads hammer single-call and batch paths against two
   // synopses while plans cache and evict; every result must equal the
