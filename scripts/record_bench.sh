@@ -9,8 +9,9 @@
 # rebuild-per-delta and position-histogram baselines, plus estimate
 # latency quantiles with background rebuilds in flight), and the
 # simulator trajectories (every scenario family at its pinned seed,
-# live_update_churn and the slo_burn SLO/flight-recorder scenario
-# included: per-window rows plus one summary row each):
+# live_update_churn, intel_alias_storm and the slo_burn
+# SLO/flight-recorder scenario included: per-window rows plus one
+# summary row each):
 #
 #   {"bench_file_version":3,"recorded":{...config + machine...},"rows":[...]}
 #

@@ -60,7 +60,7 @@ struct Canon {
   std::vector<int> kids;          // each node's children, sorted
   std::vector<uint32_t> entry_at;  // n + 1 offsets into entries
   std::vector<Entry> entries;      // each node's profile, sorted
-  std::vector<int> rank;  // structural signature rank (refinement only)
+  std::vector<int> rank;  // endpoints' structural signature rank
   bool refined = false;   // comparing with profiles
   std::vector<int> order;   // scratch: nodes by signature; preorder
   std::vector<int> map;     // old index -> canonical index
@@ -157,13 +157,23 @@ struct Canon {
   /// Bottom-up: every node's children, from their original order,
   /// stable-sorted by signature (children follow their parents in index
   /// order, so each child's own list is sorted first). Child lists are
-  /// short: an insertion sort, which moves a child only past strictly
-  /// greater ones, is stable and allocates nothing.
+  /// usually short: up to kInsertionMax children an insertion sort,
+  /// which moves a child only past strictly greater ones, is stable and
+  /// allocates nothing. Longer lists (a query may carry thousands of
+  /// predicates) take std::stable_sort, which puts them in the same
+  /// order without the insertion sort's quadratic worst case.
+  static constexpr size_t kInsertionMax = 16;
   void SortChildren() {
     const size_t n = q->nodes.size();
     for (size_t i = n; i-- > 0;) {
       const std::vector<int>& c = q->nodes[i].children;
       int* first = kids.data() + kid_at[i];
+      if (c.size() > kInsertionMax) {
+        std::copy(c.begin(), c.end(), first);
+        std::stable_sort(first, first + c.size(),
+                         [this](int a, int b) { return Compare(a, b) < 0; });
+        continue;
+      }
       for (size_t k = 0; k < c.size(); ++k) {
         size_t at = k;
         while (at > 0 && Compare(first[at - 1], c[k]) > 0) {
@@ -233,17 +243,25 @@ Query Canonicalize(Query&& q) {
   // title[X/following::p][p/preceding::Y] has two structurally equal p
   // descendants). Fold each node's constraint participation — kind,
   // side, and the other endpoint's structural signature, as its rank
-  // among all nodes' — into the sort key so isomorphic spellings agree
+  // among the endpoints' — into the sort key so isomorphic spellings agree
   // on which twin comes first. (Ties surviving this round are
   // constraint-symmetric, where either order yields the same serialized
   // key.)
   if (!q.orders.empty()) {
-    x.order.resize(n);
-    for (size_t i = 0; i < n; ++i) x.order[i] = static_cast<int>(i);
+    // Profiles compare only constraint endpoints' signatures, so only
+    // the endpoints are ranked (ranking every node would cost n log n
+    // signature comparisons on a large query).
+    x.order.clear();
+    for (const OrderConstraint& c : q.orders) {
+      x.order.push_back(c.before);
+      x.order.push_back(c.after);
+    }
+    std::sort(x.order.begin(), x.order.end());
+    x.order.erase(std::unique(x.order.begin(), x.order.end()), x.order.end());
     std::sort(x.order.begin(), x.order.end(),
               [](int a, int b) { return x.Compare(a, b) < 0; });
     x.rank.assign(n, 0);
-    for (size_t k = 1; k < n; ++k) {
+    for (size_t k = 1; k < x.order.size(); ++k) {
       x.rank[x.order[k]] = x.rank[x.order[k - 1]] +
                            (x.Compare(x.order[k - 1], x.order[k]) != 0);
     }

@@ -19,14 +19,6 @@ int Query::AddNode(std::string tag, StructAxis axis, int parent) {
   return idx;
 }
 
-std::vector<int> Query::SpineOf(int node) const {
-  XEE_CHECK(node >= 0 && node < static_cast<int>(nodes.size()));
-  std::vector<int> spine;
-  for (int n = node; n != -1; n = nodes[n].parent) spine.push_back(n);
-  std::reverse(spine.begin(), spine.end());
-  return spine;
-}
-
 Query Query::SubQuery(const std::vector<bool>& keep,
                       std::vector<int>* old_to_new) const {
   XEE_CHECK(keep.size() == nodes.size());

@@ -79,9 +79,6 @@ struct Query {
   /// with "{t}" when it is not the default result node.
   std::string ToString() const;
 
-  /// The root-to-`node` chain of node indices (inclusive).
-  std::vector<int> SpineOf(int node) const;
-
   /// Derives the sub-query induced by `keep` (which must contain node 0
   /// and be connected upwards), preserving constraints whose endpoints
   /// survive. `old_to_new`, if non-null, receives the index mapping

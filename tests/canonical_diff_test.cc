@@ -198,7 +198,9 @@ TEST_F(CanonicalDiffTest, MatchesStringSignatureReference) {
 // A hand-picked pool the grammar reaches only rarely: literals that
 // differ in escapes and in bytes sorting around the header markers,
 // tags that are prefixes of one another, twins told apart only by
-// their constraint roles.
+// their constraint roles (or only by which node they precede), and
+// child lists longer than the insertion sort takes (over 16
+// predicates on one step).
 TEST_F(CanonicalDiffTest, HandPickedHeadersAgreeWithReference) {
   const char* queries[] = {
       "//a[b][bc][b{t}]",
@@ -209,6 +211,11 @@ TEST_F(CanonicalDiffTest, HandPickedHeadersAgreeWithReference) {
       "//title[X/following::p][p/preceding::Y]",
       "//s[a/following-sibling::b][a/preceding-sibling::b]/c",
       "//j[x//y][x/y][x][x//y/z][x/y//z]",
+      "//s[a/following-sibling::c][a/following-sibling::b/d][a]",
+      "//w[q][p][o][n][m][l][k][j][i][h][g][f][e][d][c][b][a][b/x][a//x]"
+      "[b[.=\"v\"]][a/following-sibling::b]",
+      "//s[t][t][t][t][t][t][t][t][t][t][t][t][t][t][t][t][t][t]"
+      "[u/following-sibling::t][u][u//v][t/v]",
   };
   for (const char* text : queries) {
     Result<Query> q = ParseXPath(text);

@@ -177,13 +177,6 @@ TEST(Query, ToStringMainPathFollowsTarget) {
   EXPECT_EQ(MustParse("/Root//E").ToString(), "/Root//E");
 }
 
-TEST(Query, SpineOf) {
-  Query q = MustParse("//A[/C/F]/B/D");
-  EXPECT_EQ(q.SpineOf(4), (std::vector<int>{0, 3, 4}));
-  EXPECT_EQ(q.SpineOf(2), (std::vector<int>{0, 1, 2}));
-  EXPECT_EQ(q.SpineOf(0), (std::vector<int>{0}));
-}
-
 TEST(Query, SubQueryDropsBranch) {
   Query q = MustParse("//A[/C/F]/B/D");
   std::vector<bool> keep = {true, false, false, true, true};
