@@ -130,15 +130,20 @@ OHistogram OHistogram::FromBuckets(
 
 void OHistogram::IndexColumns(const std::vector<encoding::PidRef>& col_order) {
   col_of_.clear();
-  pid_base_ = 0;
-  if (col_order.empty()) return;
-  const auto [lo, hi] = std::minmax_element(col_order.begin(), col_order.end());
-  pid_base_ = *lo;
-  col_of_.assign(static_cast<size_t>(*hi - *lo) + 1, kNoColumn);
+  col_of_.reserve(col_order.size());
   for (uint32_t c = 0; c < col_order.size(); ++c) {
-    uint32_t& slot = col_of_[col_order[c] - pid_base_];
-    if (slot == kNoColumn) slot = c;  // first occurrence, as emplace kept
+    col_of_.push_back(PidColumn{col_order[c], c});
   }
+  // A pid listed twice keeps its first column.
+  std::stable_sort(col_of_.begin(), col_of_.end(),
+                   [](const PidColumn& a, const PidColumn& b) {
+                     return a.pid < b.pid;
+                   });
+  col_of_.erase(std::unique(col_of_.begin(), col_of_.end(),
+                            [](const PidColumn& a, const PidColumn& b) {
+                              return a.pid == b.pid;
+                            }),
+                col_of_.end());
 }
 
 void OHistogram::BuildRowIndex() {

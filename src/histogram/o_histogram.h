@@ -1,6 +1,7 @@
 #ifndef XEE_HISTOGRAM_O_HISTOGRAM_H_
 #define XEE_HISTOGRAM_O_HISTOGRAM_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -45,9 +46,10 @@ class OHistogram {
                                 const std::vector<encoding::PidRef>& col_order);
 
   /// Summarized cell value g(pid, other): the covering bucket's average
-  /// frequency, or 0 when no bucket covers the cell. O(log buckets) via
-  /// the per-row interval index; identical to scanning `buckets()` in
-  /// order and returning the first cover.
+  /// frequency, or 0 when no bucket covers the cell. O(log pids +
+  /// log buckets) via the column index and the per-row interval index;
+  /// identical to scanning `buckets()` in order and returning the first
+  /// cover.
   double Get(stats::OrderRegion region, xml::TagId other,
              encoding::PidRef pid) const;
 
@@ -99,15 +101,15 @@ class OHistogram {
   /// buckets win where boxes overlap (only possible on adversarial
   /// deserialized bucket lists), matching the first-match linear scan.
   void BuildRowIndex();
-  /// Fills the pid -> column map from the tag's column order.
+  /// Fills the pid -> column index from the tag's column order.
   void IndexColumns(const std::vector<encoding::PidRef>& col_order);
 
   /// Column of `pid`, or kNoColumn when the tag has no such pid.
   uint32_t Column(encoding::PidRef pid) const {
-    const uint64_t at = uint64_t{pid} - pid_base_;
-    return pid < pid_base_ || at >= col_of_.size()
-               ? kNoColumn
-               : col_of_[static_cast<size_t>(at)];
+    const auto it = std::lower_bound(
+        col_of_.begin(), col_of_.end(), pid,
+        [](const PidColumn& e, encoding::PidRef p) { return e.pid < p; });
+    return it != col_of_.end() && it->pid == pid ? it->col : kNoColumn;
   }
   /// The spans of the (region, other) row, or null when it has none.
   const std::vector<RowSpan>* Row(stats::OrderRegion region,
@@ -121,10 +123,13 @@ class OHistogram {
 
   std::vector<Bucket> buckets_;
   std::vector<uint32_t> row_of_tag_;  // alphabetic rank per TagId
-  /// Dense pid -> column map over the tag's pid range: col_of_[pid -
-  /// pid_base_] (kNoColumn for pids of other tags).
-  std::vector<uint32_t> col_of_;
-  encoding::PidRef pid_base_ = 0;
+  struct PidColumn {
+    encoding::PidRef pid;
+    uint32_t col;
+  };
+  /// The tag's pids in ascending order, each with its column: one entry
+  /// per pid of this tag, however far apart its pids lie.
+  std::vector<PidColumn> col_of_;
   std::vector<std::vector<RowSpan>> row_index_;  // size 2 * row_of_tag_.size()
 };
 

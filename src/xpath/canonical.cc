@@ -156,32 +156,15 @@ struct Canon {
 
   /// Bottom-up: every node's children, from their original order,
   /// stable-sorted by signature (children follow their parents in index
-  /// order, so each child's own list is sorted first). Child lists are
-  /// usually short: up to kInsertionMax children an insertion sort,
-  /// which moves a child only past strictly greater ones, is stable and
-  /// allocates nothing. Longer lists (a query may carry thousands of
-  /// predicates) take std::stable_sort, which puts them in the same
-  /// order without the insertion sort's quadratic worst case.
-  static constexpr size_t kInsertionMax = 16;
+  /// order, so each child's own list is sorted first).
   void SortChildren() {
     const size_t n = q->nodes.size();
     for (size_t i = n; i-- > 0;) {
       const std::vector<int>& c = q->nodes[i].children;
       int* first = kids.data() + kid_at[i];
-      if (c.size() > kInsertionMax) {
-        std::copy(c.begin(), c.end(), first);
-        std::stable_sort(first, first + c.size(),
-                         [this](int a, int b) { return Compare(a, b) < 0; });
-        continue;
-      }
-      for (size_t k = 0; k < c.size(); ++k) {
-        size_t at = k;
-        while (at > 0 && Compare(first[at - 1], c[k]) > 0) {
-          first[at] = first[at - 1];
-          --at;
-        }
-        first[at] = c[k];
-      }
+      std::copy(c.begin(), c.end(), first);
+      std::stable_sort(first, first + c.size(),
+                       [this](int a, int b) { return Compare(a, b) < 0; });
     }
   }
 };

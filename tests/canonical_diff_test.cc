@@ -199,8 +199,7 @@ TEST_F(CanonicalDiffTest, MatchesStringSignatureReference) {
 // differ in escapes and in bytes sorting around the header markers,
 // tags that are prefixes of one another, twins told apart only by
 // their constraint roles (or only by which node they precede), and
-// child lists longer than the insertion sort takes (over 16
-// predicates on one step).
+// long child lists (over 16 predicates on one step).
 TEST_F(CanonicalDiffTest, HandPickedHeadersAgreeWithReference) {
   const char* queries[] = {
       "//a[b][bc][b{t}]",

@@ -362,5 +362,32 @@ TEST(OHistogram, RowWalkEqualsSumOfGetBitForBit) {
             5.0 + 5.0 + 9.0 + 5.0);
 }
 
+// A cell is found by its pid's position in the column order, not by the
+// pid's value: pids out of value order, far apart (up to the top of the
+// PidRef range), listed twice (the first column counts) or absent.
+TEST(OHistogram, CellsFollowTheColumnOrderOfFarApartPids) {
+  const std::vector<uint32_t> ranks = {0};
+  const std::vector<encoding::PidRef> cols = {4000000000u, 7, 90000, 7,
+                                              UINT32_MAX, 0};
+  std::vector<OHistogram::Bucket> bs;
+  for (uint32_t c = 0; c < cols.size(); ++c) {
+    bs.push_back({c, 0, c, 0, 1.0 + c});
+  }
+  const OHistogram h = OHistogram::FromBuckets(bs, ranks, cols);
+  EXPECT_EQ(h.Get(OrderRegion::kBefore, 0, 4000000000u), 1.0);
+  EXPECT_EQ(h.Get(OrderRegion::kBefore, 0, 7), 2.0);
+  EXPECT_EQ(h.Get(OrderRegion::kBefore, 0, 90000), 3.0);
+  EXPECT_EQ(h.Get(OrderRegion::kBefore, 0, UINT32_MAX), 5.0);
+  EXPECT_EQ(h.Get(OrderRegion::kBefore, 0, 0), 6.0);
+  for (encoding::PidRef absent : {1u, 8u, 89999u, 4000000001u}) {
+    EXPECT_EQ(h.Get(OrderRegion::kBefore, 0, absent), 0.0) << absent;
+  }
+  const std::vector<encoding::PidRef> pids = {4000000000u, 7, 8, 90000,
+                                              UINT32_MAX, 0};
+  EXPECT_EQ(h.RowSum(OrderRegion::kBefore, 0, pids.begin(), pids.end(),
+                     [](encoding::PidRef pid) { return pid; }),
+            1.0 + 2.0 + 0.0 + 3.0 + 5.0 + 6.0);
+}
+
 }  // namespace
 }  // namespace xee::histogram
